@@ -287,17 +287,6 @@ def wing_modules(v: GradedModule, _depth: int = 0) -> list[GradedModule]:
     return out
 
 
-def wing(q: ARQuiver, name: str) -> ARQuiver:
-    """Wing sub-quiver under a vertex of the explored patch."""
-    v = q.vertices[name]
-    mods = wing_modules(v.module)
-    names = set()
-    for m in mods:
-        found = q.find_vertex(m)
-        names.add(found if found is not None else q.add_module(m))
-    return q.induced(names)
-
-
 def polynomial_part(q: ARQuiver) -> ARQuiver:
     keep = {n for n, v in q.vertices.items()
             if polynomial.is_polynomial(v.module).is_polynomial}
@@ -466,6 +455,9 @@ def schur_block_quiver(p: int, d: int,
     verdict = polynomial.is_polynomial(seed_mod)
     if not verdict.is_polynomial or verdict.degree != d:
         raise ValueError("seed is not polynomial of the requested degree")
+    if [mult for _, mult in decompose(seed_mod)] != [1]:
+        raise ValueError(f"seed {block_seed} is decomposable; choose an "
+                         "indecomposable seed with --seed-label")
     cands = enumerate_degree_candidates(p, d)
     seed_idx = None
     for i, (_, m) in enumerate(cands):

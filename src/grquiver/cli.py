@@ -25,10 +25,23 @@ def _seed_from(args) -> int:
 
 
 def _load_module(source: str, p: int) -> GradedModule:
-    if os.path.exists(source):
+    """The module of a JSON file, checked against --p and validated, or of
+    a family label; bad input raises ValueError."""
+    if not os.path.exists(source):
+        return constructions.parse_label(source).build(p)
+    try:
         with open(source) as fh:
-            return GradedModule.from_json(fh.read())
-    return constructions.parse_label(source).build(p)
+            m = GradedModule.from_json(fh.read())
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as e:
+        raise ValueError(f"{source}: malformed module file "
+                         f"({type(e).__name__}: {e})") from e
+    if m.algebra.p != p:
+        raise ValueError(f"{source}: module is over p={m.algebra.p}, "
+                         f"but --p is {p}")
+    errs = validate(m)
+    if errs:
+        raise ValueError(f"{source}: invalid module: " + "; ".join(errs))
+    return m
 
 
 def _header(args) -> str:
@@ -49,12 +62,7 @@ def _emit_module(m: GradedModule, emit: str, out) -> None:
 
 
 def cmd_module(args, out) -> int:
-    m = _load_module(args.source, args.p)
-    errs = validate(m)
-    if errs:
-        out.write("INVALID: " + "; ".join(errs) + "\n")
-        return 3
-    _emit_module(m, args.emit, out)
+    _emit_module(_load_module(args.source, args.p), args.emit, out)
     return 0
 
 

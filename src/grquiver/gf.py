@@ -63,9 +63,25 @@ class PrimeField:
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
+    def _check_headroom(self, inner: int) -> None:
+        # a sum of `inner` products of entries in [0, p) must fit in int64
+        if inner * (self.p - 1) ** 2 >= 2 ** 63:
+            raise OverflowError(
+                f"inner dimension {inner} overflows int64 over F_{self.p}")
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # entries < p <= 13 and dims < ~2000 keep products well inside int64
-        return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % self.p
+        """a @ b mod p, for entries in [0, p)."""
+        a = np.asarray(a, dtype=np.int64)
+        self._check_headroom(a.shape[-1])
+        return (a @ np.asarray(b, dtype=np.int64)) % self.p
+
+    def combine(self, coeffs, mats) -> np.ndarray:
+        """sum_t coeffs[t] * mats[t] mod p, for a sequence of equal-shape
+        matrices (or a stacked array) and coefficients in [0, p)."""
+        mats = np.asarray(mats, dtype=np.int64)
+        self._check_headroom(len(mats))
+        flat = np.asarray(coeffs, dtype=np.int64) @ mats.reshape(len(mats), -1)
+        return flat.reshape(mats.shape[1:]) % self.p
 
     def matpow(self, a: np.ndarray, k: int) -> np.ndarray:
         n = a.shape[0]
@@ -81,33 +97,34 @@ class PrimeField:
     # -- elimination ------------------------------------------------------
 
     def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
-        """Reduced row echelon form.
+        """Reduced row echelon form: the one elimination kernel.
+
+        Each pivot is the first nonzero entry below and right of the
+        previous one; its row clears the whole pivot column with one
+        outer-product update.
 
         Returns:
             (rref matrix, strictly increasing pivot column list, rank).
         """
-        a = self.reduce(m).copy()
+        p = self.p
+        a = self.reduce(m)
         rows, cols = a.shape
         pivots: list[int] = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
+        c = 0
+        for r in range(rows):
+            live = a[r:, c:].any(axis=0)
+            if not live.any():
                 break
-            pivot_row = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row < 0:
-                continue
-            if pivot_row != r:
-                a[[r, pivot_row]] = a[[pivot_row, r]]
-            a[r] = (a[r] * self._inv[a[r, c]]) % self.p
-            for i in range(rows):
-                if i != r and a[i, c] != 0:
-                    a[i] = (a[i] - a[i, c] * a[r]) % self.p
+            c += int(live.argmax())
+            i = r + int((a[r:, c] != 0).argmax())
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+            a[r, c:] = a[r, c:] * self._inv[a[r, c]] % p
+            f = a[:, c, None].copy()
+            f[r] = 0
+            a[:, c:] = (a[:, c:] - f * a[r, c:]) % p
             pivots.append(c)
-            r += 1
+            c += 1
         return a, pivots, len(pivots)
 
     def rank(self, m: np.ndarray) -> int:
@@ -115,59 +132,41 @@ class PrimeField:
 
     def kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Columns form a basis of the null space {x : m @ x = 0}."""
-        a = np.asarray(m, dtype=np.int64)
-        rows, cols = a.shape
-        r, pivots, rank = self.rref(a)
-        free = [c for c in range(cols) if c not in set(pivots)]
-        basis = self.zeros(cols, len(free))
-        for j, fc in enumerate(free):
-            basis[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, j] = (-r[i, fc]) % self.p
+        r, pivots, rank = self.rref(m)
+        is_free = np.ones(r.shape[1], dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        basis = self.zeros(r.shape[1], free.size)
+        basis[free, np.arange(free.size)] = 1
+        basis[pivots, :] = -r[:rank, free] % self.p
         return basis
 
     def solve(self, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """One solution of m @ x = b, or None when the system is inconsistent."""
-        a = self.reduce(m)
-        rhs = self.reduce(b).reshape(-1)
-        if rhs.shape[0] != a.shape[0]:
-            raise ValueError("dimension mismatch between matrix and rhs")
-        aug = np.hstack([a, rhs.reshape(-1, 1)])
-        r, pivots, rank = self.rref(aug)
-        if a.shape[1] in pivots:
-            return None
-        x = np.zeros(a.shape[1], dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            x[pc] = r[i, a.shape[1]]
-        return x
+        x = self.solve_matrix(m, np.reshape(b, (-1, 1)))
+        return None if x is None else x[:, 0]
 
     def solve_matrix(self, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution X of m @ X = b for a matrix right-hand side."""
+        """The solution X of m @ X = b with free variables 0, or None when
+        some column is inconsistent; one elimination of [m | b]."""
         a = self.reduce(m)
         rhs = self.reduce(b)
         if rhs.shape[0] != a.shape[0]:
             raise ValueError("dimension mismatch between matrix and rhs")
-        cols = []
-        for j in range(rhs.shape[1]):
-            x = self.solve(a, rhs[:, j])
-            if x is None:
-                return None
-            cols.append(x)
-        if not cols:
-            return self.zeros(a.shape[1], 0)
-        return np.stack(cols, axis=1)
+        n = a.shape[1]
+        r, pivots, rank = self.rref(np.hstack([a, rhs]))
+        if rank and pivots[-1] >= n:
+            return None
+        x = self.zeros(n, rhs.shape[1])
+        x[pivots, :] = r[:rank, n:]
+        return x
 
     def inv_matrix(self, m: np.ndarray) -> np.ndarray | None:
         """Inverse of a square matrix, or None when singular."""
-        a = self.reduce(m)
-        n = a.shape[0]
-        if a.shape[1] != n:
+        n = np.shape(m)[0]
+        if np.shape(m)[1] != n:
             raise ValueError("matrix is not square")
-        aug = np.hstack([a, self.eye(n)])
-        r, pivots, rank = self.rref(aug)
-        if rank < n or pivots[:n] != list(range(n)):
-            return None
-        return r[:, n:]
+        return self.solve_matrix(m, self.eye(n))
 
     # -- span utilities ---------------------------------------------------
 

@@ -72,9 +72,6 @@ class AlgebraKind:
             return (step, -step)
         return (-step, step)
 
-    def same_ring(self, other: "AlgebraKind") -> bool:
-        return self == other
-
 
 def _field_cache(p: int, _cache={}) -> PrimeField:
     if p not in _cache:
@@ -342,6 +339,11 @@ def borel_dual(m: GradedModule) -> GradedModule:
     return GradedModule(alg, m.weights, action)
 
 
+def dual(m: GradedModule) -> GradedModule:
+    """The duality of m's backend: contravariant (sl2r1) or borel."""
+    return contravariant_dual(m) if m.algebra.kind == "sl2r1" else borel_dual(m)
+
+
 def weyl_twist(m: GradedModule) -> GradedModule:
     """m^{w0}: swap grading coordinates; E <-> F, H -> -H."""
     if m.algebra.kind != "sl2r1":
@@ -353,11 +355,7 @@ def weyl_twist(m: GradedModule) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# support and degree decomposition
-
-
-def support(m: GradedModule) -> set[Weight]:
-    return m.support()
+# degree decomposition
 
 
 def degree_decompose(m: GradedModule) -> dict[int, GradedModule]:
@@ -428,13 +426,13 @@ def _module_on_basis(m: GradedModule,
     for j in range(basis.shape[1]):
         idx = int(np.flatnonzero(basis[:, j])[0])
         weights.append(m.weights[idx])
-    action = {}
-    for g in m.algebra.generators():
-        img = ff.matmul(m.action[g], basis)
-        coords = ff.solve_matrix(basis, img)
-        if coords is None:
-            raise ValueError(f"basis not invariant under {g}")
-        action[g] = coords
+    gens = m.algebra.generators()
+    coords = ff.solve_matrix(
+        basis, np.hstack([ff.matmul(m.action[g], basis) for g in gens]))
+    if coords is None:
+        raise ValueError("basis not invariant under the action")
+    k = basis.shape[1]
+    action = {g: coords[:, t * k:(t + 1) * k] for t, g in enumerate(gens)}
     sub = GradedModule(m.algebra, tuple(weights), action)
     return sub, ModuleMap(sub, m, basis)
 
@@ -486,36 +484,20 @@ def quotient(m: GradedModule,
         q = GradedModule(m.algebra, m.weights, dict(m.action))
         return q, ModuleMap(m, q, ff.eye(m.dim))
     basis = homogenize_columns(m, ff.reduce(sub_basis))
-    # invariance check
-    for g in m.algebra.generators():
-        img = ff.matmul(m.action[g], basis)
-        if ff.solve_matrix(basis, img) is None:
-            raise ValueError(f"submodule not closed under {g}")
     k = basis.shape[1]
-    # complete with standard basis vectors (homogeneous) to a full basis
-    cols = [basis]
-    chosen: list[int] = []
-    cur_rank = k
-    full = basis
-    for j in range(m.dim):
-        e = np.zeros((m.dim, 1), dtype=np.int64)
-        e[j, 0] = 1
-        cand = np.hstack([full, e])
-        if ff.rank(cand) > cur_rank:
-            full = cand
-            cur_rank += 1
-            chosen.append(j)
-    inv = ff.inv_matrix(full)
-    assert inv is not None
-    proj = inv[k:, :]  # coordinates on the complementary standard vectors
-    weights = tuple(m.weights[j] for j in chosen)
+    # rref([basis | I]) = [[I_k; 0] | T] with T = [basis | e_chosen]^-1:
+    # the pivots past the basis are the first standard vectors completing
+    # it, and the last rows of T are the coordinates on those vectors
+    r, pivots, _ = ff.rref(np.hstack([basis, ff.eye(m.dim)]))
+    chosen = [c - k for c in pivots[k:]]
+    proj = r[k:, k:]
     action = {}
     for g in m.algebra.generators():
-        # action on representatives e_j, read off in quotient coordinates
-        reps = np.zeros((m.dim, len(chosen)), dtype=np.int64)
-        for t, j in enumerate(chosen):
-            reps[j, t] = 1
-        action[g] = ff.matmul(proj, ff.matmul(m.action[g], reps))
+        if np.any(ff.matmul(proj, ff.matmul(m.action[g], basis))):
+            raise ValueError(f"submodule not closed under {g}")
+        # action on the representatives e_j, in quotient coordinates
+        action[g] = ff.matmul(proj, m.action[g][:, chosen])
+    weights = tuple(m.weights[j] for j in chosen)
     q = GradedModule(m.algebra, weights, action)
     return q, ModuleMap(m, q, proj)
 
@@ -583,10 +565,10 @@ def _radical_operator_matrices(m: GradedModule) -> list[np.ndarray]:
     Hp = [ff.matpow(H, j) for j in range(m.algebra.p)]
     Ep = [ff.matpow(E, k) for k in range(m.algebra.p)]
     for terms in _sl2_radical_operators(m.algebra.p):
-        op = np.zeros((m.dim, m.dim), dtype=np.int64)
-        for coeff, i, j, k in terms:
-            op = (op + coeff * ff.matmul(Fp[i], ff.matmul(Hp[j], Ep[k]))) % ff.p
-        ops.append(op)
+        ops.append(ff.combine(
+            [coeff for coeff, *_ in terms],
+            [ff.matmul(Fp[i], ff.matmul(Hp[j], Ep[k]))
+             for _, i, j, k in terms]))
     return ops
 
 
@@ -628,52 +610,44 @@ def top(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
 
 def hom_space(m: GradedModule, n: GradedModule) -> list[np.ndarray]:
     """Basis of degree-0 intertwiners m -> n, as (dim n x dim m) matrices."""
-    if not m.algebra.same_ring(n.algebra):
+    if m.algebra != n.algebra:
         raise ValueError("hom_space requires a common algebra")
     ff = m.field
-    # unknowns: entries (i, j) with matching weights
-    slots = [(i, j) for i in range(n.dim) for j in range(m.dim)
-             if n.weights[i] == m.weights[j]]
-    if not slots:
+    # unknowns: the entries phi[si[t], sj[t]] joining equal weights, in
+    # row-major order
+    wn = np.array(n.weights, dtype=np.int64).reshape(n.dim, 2)
+    wm = np.array(m.weights, dtype=np.int64).reshape(m.dim, 2)
+    si, sj = np.nonzero((wn[:, None, :] == wm[None, :, :]).all(axis=2))
+    if si.size == 0:
         return []
-    pos = {s: t for t, s in enumerate(slots)}
-    rows = []
-    for g in m.algebra.generators():
-        A, B = n.action[g], m.action[g]
-        # (A phi - phi B)[i, j] = 0
-        for i in range(n.dim):
-            for j in range(m.dim):
-                row = np.zeros(len(slots), dtype=np.int64)
-                nonzero = False
-                for k in range(n.dim):
-                    if A[i, k] and (k, j) in pos:
-                        row[pos[(k, j)]] = (row[pos[(k, j)]] + A[i, k]) % ff.p
-                        nonzero = True
-                for k in range(m.dim):
-                    if B[k, j] and (i, k) in pos:
-                        row[pos[(i, k)]] = (row[pos[(i, k)]] - B[k, j]) % ff.p
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    if rows:
-        kernel = ff.kernel_basis(np.stack(rows, axis=0))
-    else:
-        kernel = ff.eye(len(slots))
-    basis = []
-    for c in range(kernel.shape[1]):
-        mat = np.zeros((n.dim, m.dim), dtype=np.int64)
-        for t, (i, j) in enumerate(slots):
-            mat[i, j] = kernel[t, c]
-        basis.append(mat)
-    return basis
-
-
-def _combo(ff: PrimeField, basis: list[np.ndarray],
-           coeffs) -> np.ndarray:
-    out = np.zeros_like(basis[0])
-    for c, b in zip(coeffs, basis):
-        out = (out + int(c) * b) % ff.p
-    return out
+    # (A phi - phi B)[i, j] = 0 for each generator: unknown t enters the
+    # equation (i, sj[t]) with A[i, si[t]] and (si[t], j) with -B[sj[t], j];
+    # equations are numbered (generator, i, j) and only those hit are kept
+    gens = m.algebra.generators()
+    eq, unk, val = [], [], []
+    for g_idx, g in enumerate(gens):
+        base = g_idx * n.dim * m.dim
+        ta = n.action[g][:, si]
+        i, t = np.nonzero(ta)
+        eq.append(base + i * m.dim + sj[t])
+        unk.append(t)
+        val.append(ta[i, t])
+        tb = m.action[g][sj, :]
+        t, j = np.nonzero(tb)
+        eq.append(base + si[t] * m.dim + j)
+        unk.append(t)
+        val.append(-tb[t, j])
+    eq = np.concatenate(eq)
+    hit = np.zeros(len(gens) * n.dim * m.dim, dtype=bool)
+    hit[eq] = True
+    rows = np.flatnonzero(hit)
+    system = ff.zeros(rows.size, si.size)
+    np.add.at(system, (np.searchsorted(rows, eq), np.concatenate(unk)),
+              np.concatenate(val))
+    kernel = ff.kernel_basis(system)
+    basis = np.zeros((kernel.shape[1], n.dim, m.dim), dtype=np.int64)
+    basis[:, si, sj] = kernel.T
+    return list(basis)
 
 
 def is_isomorphic(m: GradedModule, n: GradedModule,
@@ -685,7 +659,7 @@ def is_isomorphic(m: GradedModule, n: GradedModule,
     small, otherwise by 64 seeded random draws followed by exhaustive
     fallback.
     """
-    if not m.algebra.same_ring(n.algebra):
+    if m.algebra != n.algebra:
         return None
     if m.dim != n.dim:
         return None
@@ -697,22 +671,23 @@ def is_isomorphic(m: GradedModule, n: GradedModule,
     basis = hom_space(m, n)
     if not basis:
         return None
+    basis = np.stack(basis)
     k = len(basis)
     p = ff.p
     if p ** k <= 20000:
         for coeffs in np.ndindex(*([p] * k)):
-            phi = _combo(ff, basis, coeffs)
+            phi = ff.combine(coeffs, basis)
             if ff.inv_matrix(phi) is not None:
                 return phi
         return None
     rng = np.random.default_rng(seed)
     for _ in range(64):
         coeffs = rng.integers(0, p, size=k)
-        phi = _combo(ff, basis, coeffs)
+        phi = ff.combine(coeffs, basis)
         if ff.inv_matrix(phi) is not None:
             return phi
     for coeffs in np.ndindex(*([p] * k)):  # deterministic fallback
-        phi = _combo(ff, basis, coeffs)
+        phi = ff.combine(coeffs, basis)
         if ff.inv_matrix(phi) is not None:
             return phi
     return None
@@ -755,13 +730,14 @@ def _endo_candidates(m: GradedModule, basis: list[np.ndarray],
                 cands.append(ff.matmul(basis[i], basis[j]))
     p = ff.p
     k = len(basis)
+    stacked = np.stack(basis)
     if p ** k <= 2000:
         for coeffs in np.ndindex(*([p] * k)):
-            cands.append(_combo(ff, basis, coeffs))
+            cands.append(ff.combine(coeffs, stacked))
     else:
         rng = np.random.default_rng(seed)
         for _ in range(64):
-            cands.append(_combo(ff, basis, rng.integers(0, p, size=k)))
+            cands.append(ff.combine(rng.integers(0, p, size=k), stacked))
     return cands
 
 

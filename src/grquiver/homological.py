@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions
-from .grmod import (GradedModule, ModuleMap, Weight, borel_dual,
-                    contravariant_dual, decompose, direct_sum, hom_space,
-                    is_isomorphic, shift, submodule_from_subspace, top,
-                    zero_module)
+from .grmod import (GradedModule, ModuleMap, Weight, decompose, direct_sum,
+                    dual, hom_space, is_isomorphic, quotient, shift,
+                    submodule_from_subspace, top, zero_module)
 
 
 @dataclass
@@ -40,15 +39,6 @@ class ShortExact:
         return _find_section(self.middle, self.right, self.surj.matrix,
                              self.right.field) is not None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "left": self.left.to_json_dict(),
-            "middle": self.middle.to_json_dict(),
-            "right": self.right.to_json_dict(),
-            "inj": self.inj.matrix.tolist(),
-            "surj": self.surj.matrix.tolist(),
-        }
-
 
 def _find_section(middle: GradedModule, right: GradedModule,
                   surj: np.ndarray, ff) -> np.ndarray | None:
@@ -60,10 +50,7 @@ def _find_section(middle: GradedModule, right: GradedModule,
     x = ff.solve(np.stack(cols, axis=1), target)
     if x is None:
         return None
-    out = np.zeros_like(basis[0])
-    for c, s in zip(x, basis):
-        out = (out + int(c) * s) % ff.p
-    return out
+    return ff.combine(x, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -95,24 +82,19 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
         covers = [constructions.borel_projective(w, m.algebra)
                   for w in t.weights]
         P = direct_sum(covers)
-        # homogeneous preimages of the top basis vectors
-        reps = []
-        for j, w in enumerate(t.weights):
-            e = np.zeros(t.dim, dtype=np.int64)
-            e[j] = 1
-            v = ff.solve(proj.matrix, e)
-            assert v is not None
-            hom_part = np.where([m.weights[i] == w for i in range(m.dim)], v, 0)
-            reps.append(hom_part % ff.p)
+        # homogeneous preimages of the top basis vectors, as columns
+        pre = ff.solve_matrix(proj.matrix, ff.eye(t.dim))
+        assert pre is not None
+        reps = np.where([[wi == w for w in t.weights] for wi in m.weights],
+                        pre, 0)
         # epi: monomial basis of each free summand maps to action * rep
         cols = []
+        gens = m.algebra.generators()
         for j, z in enumerate(covers):
-            images = {0: reps[j]}  # index in z -> vector in m
-            gens = m.algebra.generators()
             col_block = np.zeros((m.dim, z.dim), dtype=np.int64)
             # walk the free module: z basis vector c reached from generator
             # applications; reconstruct by following z's action matrices
-            col_block[:, 0] = reps[j]
+            col_block[:, 0] = reps[:, j]
             pending = [0]
             seen = {0}
             while pending:
@@ -150,10 +132,7 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
                  target.reshape(-1))
     if x is None:
         raise RuntimeError("projectivity lift failed (should not happen)")
-    phi = np.zeros((m.dim, P.dim), dtype=np.int64)
-    for c, b in zip(x, basis):
-        phi = (phi + int(c) * b) % ff.p
-    epi = ModuleMap(P, m, phi)
+    epi = ModuleMap(P, m, ff.combine(x, basis))
     if not epi.is_surjective():
         raise RuntimeError("cover candidate is not surjective")
     return P, epi
@@ -189,12 +168,8 @@ def omega(m: GradedModule) -> GradedModule:
     return omega_with_maps(m)[0]
 
 
-def _dual(m: GradedModule) -> GradedModule:
-    return contravariant_dual(m) if m.algebra.kind == "sl2r1" else borel_dual(m)
-
-
 def omega_inv(m: GradedModule) -> GradedModule:
-    return _dual(omega(_dual(m)))
+    return dual(omega(dual(m)))
 
 
 def omega_pow(m: GradedModule, k: int) -> GradedModule:
@@ -258,24 +233,14 @@ def ext1(v: GradedModule, w: GradedModule
     homsP = hom_space(P, w)
     factoring = [ff.matmul(h, incl.matrix).reshape(-1) for h in homsP]
     flat = np.stack([h.reshape(-1) for h in homs], axis=1)
-    if factoring:
-        B = np.stack(factoring, axis=1)
-        joint = np.hstack([flat, B])
-        dim_ext = ff.rank(joint) - ff.rank(B)
-    else:
-        B = np.zeros((flat.shape[0], 0), dtype=np.int64)
-        dim_ext = ff.rank(flat)
-    # representatives: greedily pick homs enlarging rank over B
-    reps: list[ExtClass] = []
-    cur = B
-    for h in homs:
-        if len(reps) == dim_ext:
-            break
-        cand = np.hstack([cur, h.reshape(-1, 1)])
-        if ff.rank(cand) > ff.rank(cur):
-            reps.append(ExtClass(ModuleMap(K, w, h)))
-            cur = cand
-    return dim_ext, reps
+    B = (np.stack(factoring, axis=1) if factoring
+         else np.zeros((flat.shape[0], 0), dtype=np.int64))
+    # the pivots of [B | flat] past B pick, greedily, the homs that enlarge
+    # the span of B: a basis of Ext^1 = Hom(K, w) / span(B)
+    _, pivots, _ = ff.rref(np.hstack([B, flat]))
+    reps = [ExtClass(ModuleMap(K, w, homs[c - B.shape[1]]))
+            for c in pivots if c >= B.shape[1]]
+    return len(reps), reps
 
 
 # ---------------------------------------------------------------------------
@@ -329,64 +294,51 @@ def almost_split_sequence(v: GradedModule) -> ShortExact:
     B = np.stack(B_cols, axis=1)
     A = _left_annihilator(ff, B)  # Ext coordinates: class of f is A @ flat(f)
 
-    # lift each radical endomorphism nu to Omega(nu): K -> K
-    endP = hom_space(P, P)
-    lift_cols = (np.stack([ff.matmul(epi.matrix, e).reshape(-1)
-                           for e in endP], axis=1)
-                 if endP else np.zeros((v.dim * P.dim, 0), dtype=np.int64))
+    if A.shape[0] == 0:
+        raise RuntimeError("Ext^1(v, tau v) vanishes")
+
+    # lift each radical endomorphism nu to rho: P -> P with
+    # epi o rho = nu o epi, and restrict rho to Omega(nu): K -> K
     omegas = []
-    for nu in _radical_endos(v):
-        target = ff.matmul(nu, epi.matrix).reshape(-1)
-        x = ff.solve(lift_cols, target)
+    rad = _radical_endos(v)
+    if rad:
+        endP = hom_space(P, P)
+        x = ff.solve_matrix(
+            np.stack([ff.matmul(epi.matrix, e).reshape(-1) for e in endP],
+                     axis=1),
+            np.stack([ff.matmul(nu, epi.matrix).reshape(-1) for nu in rad],
+                     axis=1))
         if x is None:
             raise RuntimeError("projectivity lift failed for a radical endo")
-        rho = np.zeros((P.dim, P.dim), dtype=np.int64)
-        for c, e in zip(x, endP):
-            rho = (rho + int(c) * e) % ff.p
-        onK = ff.solve_matrix(incl.matrix, ff.matmul(rho, incl.matrix))
+        rhos = [ff.combine(x[:, t], endP) for t in range(len(rad))]
+        onK = ff.solve_matrix(incl.matrix, np.hstack(
+            [ff.matmul(rho, incl.matrix) for rho in rhos]))
         assert onK is not None
-        omegas.append(onK)
+        omegas = np.split(onK, len(rad), axis=1)
 
     # solve for h in span(homs): A @ flat(h o Omega(nu)) = 0 for all nu,
     # with [h] nonzero; the solution space modulo B must be one-dimensional
-    rows = []
-    for onK in omegas:
-        for t, h in enumerate(homs):
-            col = (A @ ff.matmul(h, onK).reshape(-1)) % ff.p
-            rows.append((t, col))
+    homs = np.stack(homs)
     n_h = len(homs)
-    if rows and A.shape[0] > 0:
-        sys_rows = np.zeros((A.shape[0] * len(omegas), n_h), dtype=np.int64)
-        for block, onK in enumerate(omegas):
-            for t, h in enumerate(homs):
-                sys_rows[block * A.shape[0]:(block + 1) * A.shape[0], t] = \
-                    (A @ ff.matmul(h, onK).reshape(-1)) % ff.p
-        sol = ff.kernel_basis(sys_rows)
+    if omegas:
+        sol = ff.kernel_basis(np.vstack([
+            ff.matmul(A, ff.matmul(homs, onK).reshape(n_h, -1).T)
+            for onK in omegas]))
     else:
         sol = ff.eye(n_h)
     # image of the solution space in Ext coordinates
-    if A.shape[0] == 0:
-        raise RuntimeError("Ext^1(v, tau v) vanishes")
-    ext_img = np.zeros((A.shape[0], sol.shape[1]), dtype=np.int64)
-    for j in range(sol.shape[1]):
-        hmat = np.zeros((tv.dim, K.dim), dtype=np.int64)
-        for c, h in zip(sol[:, j], homs):
-            hmat = (hmat + int(c) * h) % ff.p
-        ext_img[:, j] = (A @ hmat.reshape(-1)) % ff.p
+    ext_img = ff.matmul(A, ff.matmul(homs.reshape(n_h, -1).T, sol))
     if ff.rank(ext_img) != 1:
         raise RuntimeError(
             f"socle of Ext^1(v, tau v) has dimension {ff.rank(ext_img)}, "
             "expected 1")
     jcol = next(j for j in range(ext_img.shape[1])
                 if np.any(ext_img[:, j]))
-    hmat = np.zeros((tv.dim, K.dim), dtype=np.int64)
-    for c, h in zip(sol[:, jcol], homs):
-        hmat = (hmat + int(c) * h) % ff.p
+    hmat = ff.combine(sol[:, jcol], homs)
 
     # pushout: E = (tv + P) / {(h(x), -incl(x))}
     D = direct_sum([tv, P])
     rel = np.vstack([hmat, (-incl.matrix) % ff.p])
-    from .grmod import quotient
     E, projD = quotient(D, rel)
     inj = ModuleMap(tv, E, projD.matrix[:, :tv.dim])
     psi = np.hstack([np.zeros((v.dim, tv.dim), dtype=np.int64), epi.matrix])

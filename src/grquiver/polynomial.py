@@ -10,11 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions, homological
-from .grmod import (GradedModule, ModuleMap, Weight, borel_dual,
-                    contravariant_dual, decompose, hom_space, is_isomorphic,
-                    is_polynomial_weight, quotient, shift,
-                    submodule_from_subspace, submodule_span, weight_degree,
-                    zero_module)
+from .grmod import (GradedModule, ModuleMap, Weight, dual, hom_space,
+                    is_polynomial_weight, quotient, submodule_from_subspace,
+                    submodule_span, weight_degree, zero_module)
 
 
 @dataclass
@@ -70,16 +68,6 @@ def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
         gens.append(e)
     sub, incl = submodule_span(m, gens)
     return quotient(m, incl.matrix)
-
-
-def _dual(m: GradedModule) -> GradedModule:
-    return contravariant_dual(m) if m.algebra.kind == "sl2r1" else borel_dual(m)
-
-
-def is_poly_projective_object(v: GradedModule) -> bool:
-    """Projective object of the polynomial category (ambient-projective or
-    torsion-free translate); used for Ext-projectivity."""
-    return homological.is_projective(v)
 
 
 def ext_projective_in_poly(v: GradedModule) -> bool:
@@ -168,9 +156,9 @@ def poly_injective_hull(v: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Hull of v inside the polynomial category: t of the ambient injective
     hull with the induced mono."""
     ff = v.field
-    dv = _dual(v)
+    dv = dual(v)
     Pd, epid = homological.projective_cover(dv)
-    I = _dual(Pd)
+    I = dual(Pd)
     mono = ModuleMap(v, I, epid.matrix.T)
     tI, incl = t_poly(I)
     coords = ff.solve_matrix(incl.matrix, mono.matrix)

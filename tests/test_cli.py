@@ -102,3 +102,50 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self, capsys):
         assert main(["--p", "3"]) == 2
+
+
+class TestInputErrors:
+    """Bad user input exits 2 with one `error:` line on stderr."""
+
+    def module_file(self, capsys, tmp_path, text, p="3", label="W(3)"):
+        """A file holding text(d), d the JSON dict of the labelled module."""
+        _, out = run(capsys, "--p", p, "module", label, "--emit", "json")
+        f = tmp_path / "m.json"
+        f.write_text(text(json.loads(out.splitlines()[1])))
+        return str(f)
+
+    def assert_usage_error(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("text", [
+        lambda d: json.dumps({k: v for k, v in d.items() if k != "dim"}),
+        lambda d: "{not json",
+        lambda d: json.dumps({**d, "action": {**d["action"],
+                                              "E": [[0, 1], [0, 0]]}}),
+    ], ids=["missing-key", "bad-json", "wrong-shape"])
+    def test_malformed_file(self, capsys, tmp_path, text):
+        f = self.module_file(capsys, tmp_path, text)
+        self.assert_usage_error(capsys, "--p", "3", "module", f)
+
+    def test_invalid_module(self, capsys, tmp_path):
+        def break_relation(d):
+            d["action"]["E"][1][0] = (d["action"]["E"][1][0] + 1) % 3
+            return json.dumps(d)
+        f = self.module_file(capsys, tmp_path, break_relation)
+        err = self.assert_usage_error(capsys, "--p", "3", "functor", "tau", f)
+        assert "invalid module" in err
+
+    def test_prime_mismatch(self, capsys, tmp_path):
+        f = self.module_file(capsys, tmp_path, json.dumps, p="5",
+                             label="W(5)")
+        err = self.assert_usage_error(capsys, "--p", "3", "module", f)
+        assert "p=5" in err
+
+    def test_decomposable_schur_seed(self, capsys):
+        # V(5) splits at p=3 since 5 = p - 1 mod p
+        err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d", "5")
+        assert "V(5)" in err and "--seed-label" in err

@@ -5,9 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_gf as R
 from grquiver.gf import PrimeField
 
 
@@ -130,3 +131,85 @@ class TestColumnSpace:
         a = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
         b = F5.matmul(a, np.array([[1, 2], [3, 2]], dtype=np.int64))
         assert F5.same_column_space(a, b)
+
+
+FIELDS = {3: F3, 5: F5}
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """(p, a) with p in {3, 5} and a = x @ y for an inner dimension of 0..7,
+    so empty, wide, tall and rank-deficient shapes all occur."""
+    p = draw(st.sampled_from([3, 5]))
+    rows = draw(st.integers(0, 7)) if rows is None else rows
+    cols = draw(st.integers(0, 7)) if cols is None else cols
+    inner = draw(st.integers(0, 7))
+
+    def block(r, c):
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=r * c,
+                                max_size=r * c))
+        return np.array(entries, dtype=np.int64).reshape(r, c)
+
+    return p, (block(rows, inner) @ block(inner, cols)) % p
+
+
+def assert_same(fast, slow):
+    """Identical arrays (or both None)."""
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+
+
+class TestAgainstReferenceLoop:
+    """The one elimination kernel and the solvers built on it against the
+    column-by-column loop it replaced."""
+
+    @given(matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_rref_and_kernel(self, pa):
+        p, a = pa
+        r, pivots, rank = FIELDS[p].rref(a)
+        r_ref, pivots_ref, rank_ref = R.rref(p, a)
+        assert_same(r, r_ref)
+        assert (pivots, rank) == (pivots_ref, rank_ref)
+        assert_same(FIELDS[p].kernel_basis(a), R.kernel_basis(p, a))
+
+    @given(matrices(), st.integers(0, 3), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_solve(self, pa, k, consistent, data):
+        p, a = pa
+        ff = FIELDS[p]
+        x = data.draw(st.lists(st.integers(0, p - 1),
+                               min_size=a.shape[1] * k,
+                               max_size=a.shape[1] * k))
+        b = data.draw(st.lists(st.integers(0, p - 1),
+                               min_size=a.shape[0] * k,
+                               max_size=a.shape[0] * k))
+        b = np.array(b, dtype=np.int64).reshape(a.shape[0], k)
+        if consistent:
+            x = np.array(x, dtype=np.int64).reshape(a.shape[1], k)
+            b = ff.matmul(a, x)
+        assert_same(ff.solve_matrix(a, b), R.solve_matrix(p, a, b))
+        if k:
+            assert_same(ff.solve(a, b[:, 0]), R.solve(p, a, b[:, 0]))
+
+    @given(st.integers(0, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
+    @example((3, np.zeros((0, 0), dtype=np.int64)))
+    @settings(max_examples=200, deadline=None)
+    def test_inv_matrix(self, pa):
+        p, a = pa
+        assert_same(FIELDS[p].inv_matrix(a), R.inv_matrix(p, a))
+
+    def test_combine_matches_loop(self):
+        mats = [random_matrix(F5, 3, 4, s) for s in range(4)]
+        coeffs = [4, 0, 2, 3]
+        out = np.zeros((3, 4), dtype=np.int64)
+        for c, m in zip(coeffs, mats):
+            out = (out + c * m) % 5
+        assert_same(F5.combine(coeffs, mats), out)
+
+    def test_headroom_is_checked(self):
+        # (p - 1)^2 = 16: 2^59 products of entries up to 4 reach 2^63
+        with pytest.raises(OverflowError):
+            F5._check_headroom(2 ** 59)
+        F5._check_headroom(2 ** 59 - 1)

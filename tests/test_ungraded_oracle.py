@@ -56,12 +56,12 @@ class TestResolutionOracle:
 class TestHomBasis:
     def test_schur_lemma_ungraded(self):
         s = C.simple_hat(P, 1)
-        basis = hom_basis_ungraded(s.field, s.action, s.action,
+        basis = hom_basis_ungraded(P, s.action, s.action,
                                    ["E", "F", "H"], s.dim, s.dim)
         assert len(basis) == 1
 
     def test_no_maps_between_distinct_simples(self):
         a, b = C.simple_hat(P, 0), C.simple_hat(P, 1)
-        basis = hom_basis_ungraded(a.field, a.action, b.action,
+        basis = hom_basis_ungraded(P, a.action, b.action,
                                    ["E", "F", "H"], a.dim, b.dim)
         assert basis == []

@@ -2,91 +2,59 @@
 
 Works with raw action matrices only (all weight data discarded) so that
 resolution dimensions and section-existence questions can be answered
-without reusing any of the graded machinery under test.
+without reusing any of the graded machinery under test. Its linear algebra
+is the reference loop elimination of `reference_gf` and plain numpy; from
+grquiver it takes only the simple and projective modules it covers with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import reference_gf as R
 from grquiver import constructions
-from grquiver.gf import PrimeField
-from grquiver.grmod import GradedModule, _sl2_radical_operators
+from grquiver.grmod import GradedModule
 
 
-def hom_basis_ungraded(ff: PrimeField, src: dict, tgt: dict,
+def hom_basis_ungraded(p: int, src: dict, tgt: dict,
                        gens: list[str], n: int, m: int) -> list[np.ndarray]:
     """Basis of {T : tgt[g] @ T == T @ src[g] for all g}, T of shape (m, n)."""
     blocks = []
     eye_n = np.eye(n, dtype=np.int64)
     eye_m = np.eye(m, dtype=np.int64)
     for g in gens:
-        blocks.append(ff.reduce(np.kron(eye_n, tgt[g])
-                                - np.kron(src[g].T, eye_m)))
-    ker = ff.kernel_basis(np.vstack(blocks)) if blocks else ff.eye(m * n)
+        blocks.append(np.kron(eye_n, tgt[g]) - np.kron(src[g].T, eye_m))
+    ker = (R.kernel_basis(p, np.vstack(blocks)) if blocks
+           else np.eye(m * n, dtype=np.int64))
     return [ker[:, j].reshape(n, m).T for j in range(ker.shape[1])]
 
 
-def _radical_matrices(ff: PrimeField, alg, action: dict,
-                      dim: int) -> list[np.ndarray]:
+def _simples(alg) -> list[tuple[int, dict]]:
+    """(dimension, action) of each simple module, forgetting the grading."""
     if alg.kind == "borel":
-        return [action[g] for g in alg.generators()]
-    p = alg.p
-    Ep = [ff.matpow(action["E"], i) for i in range(p)]
-    Fp = [ff.matpow(action["F"], i) for i in range(p)]
-    Hp = [ff.matpow(action["H"], i) for i in range(p)]
-    ops = []
-    for terms in _sl2_radical_operators(p):
-        op = np.zeros((dim, dim), dtype=np.int64)
-        for coeff, i, j, k in terms:
-            op = (op + coeff * ff.matmul(Fp[i], ff.matmul(Hp[j], Ep[k]))) % ff.p
-        ops.append(op)
-    return ops
+        return [(1, {g: np.zeros((1, 1), dtype=np.int64)
+                     for g in alg.generators()})]
+    return [(a + 1, constructions.simple_hat(alg.p, a).action)
+            for a in range(alg.p)]
 
 
-def _radical_column_span(ff, alg, action, dim) -> np.ndarray:
-    ops = _radical_matrices(ff, alg, action, dim)
-    if not ops:
-        return np.zeros((dim, 0), dtype=np.int64)
-    rad = np.hstack(ops)
-    return rad[:, ff.rref(rad)[1]]
+def _top_content(alg, action: dict, dim: int) -> list[int]:
+    """Multiplicity of each simple of `_simples(alg)` in the top m / rad m.
 
-
-def _sl2_top_content(ff, alg, action, dim, p) -> list[int]:
-    """Multiset of highest weights a of the simple summands of the un-graded
-    top, via hom-space dimensions from each simple."""
-    # top = m / rad m: induce the action on a complement of the radical.
-    radbasis = _radical_column_span(ff, alg, action, dim)
-    comp = _complement(ff, radbasis, dim)
-    full = np.hstack([radbasis, comp])
-    inv = ff.inv_matrix(full)
-    proj = inv[radbasis.shape[1]:, :]
-    gens = ["E", "F", "H"]
-    top_action = {g: ff.matmul(proj, ff.matmul(action[g], comp))
-                  for g in gens}
-    t = comp.shape[1]
-    out = []
-    for a in range(p - 1, -1, -1):
-        s = constructions.simple_hat(p, a)
-        mult = len(hom_basis_ungraded(ff, s.action, top_action, gens,
-                                      s.dim, t))
-        out.extend([a] * mult)
-    assert sum(x + 1 for x in out) == t
-    return out
-
-
-def _complement(ff, basis, dim):
-    cur = basis
-    extra = []
-    for j in range(dim):
-        e = np.zeros((dim, 1), dtype=np.int64)
-        e[j, 0] = 1
-        cand = np.hstack([cur, e])
-        if ff.rank(cand) > ff.rank(cur):
-            cur = cand
-            extra.append(e)
-    return (np.hstack(extra) if extra
-            else np.zeros((dim, 0), dtype=np.int64))
+    rad m is the intersection of the kernels of all maps to simples, and
+    each simple S has End(S) = k, so S occurs dim Hom(m, S) times.
+    """
+    simples = _simples(alg)
+    to_simples = [hom_basis_ungraded(alg.p, action, s_action,
+                                     alg.generators(), dim, s_dim)
+                  for s_dim, s_action in simples]
+    maps = [t for homs in to_simples for t in homs]
+    rad_dim = (R.kernel_basis(alg.p, np.vstack(maps)).shape[1] if maps
+               else dim)
+    content = [len(homs) for homs in to_simples]
+    assert sum(mult * s_dim for mult, (s_dim, _)
+               in zip(content, simples)) == dim - rad_dim
+    return content
 
 
 def ungraded_resolution_dims(module: GradedModule, n_terms: int,
@@ -94,9 +62,8 @@ def ungraded_resolution_dims(module: GradedModule, n_terms: int,
     """Dimensions of a minimal un-graded projective resolution, computed
     from raw matrices only."""
     alg = module.algebra
-    ff = module.field
     p = alg.p
-    gens = list(alg.generators()) + (["H"] if alg.kind == "sl2r1" else [])
+    gens = alg.generators()
     rng = np.random.default_rng(seed)
 
     action = {g: module.action[g] for g in gens}
@@ -106,33 +73,28 @@ def ungraded_resolution_dims(module: GradedModule, n_terms: int,
         if dim == 0:
             dims.append(0)
             continue
+        content = _top_content(alg, action, dim)
         if alg.kind == "borel":
-            t = dim - _radical_column_span(ff, alg, action, dim).shape[1]
-            free = constructions.borel_projective((0, 0), alg)
-            p_action = {g: _block_diag(free.action[g], t) for g in gens}
-            p_dim = free.dim * t
+            covers = [constructions.borel_projective((0, 0), alg)] * content[0]
         else:
-            content = _sl2_top_content(ff, alg, action, dim, p)
-            summands = [constructions.projective_indec(p, a) for a in content]
-            p_action = {g: _stack_blocks([s.action[g] for s in summands])
-                        for g in gens}
-            p_dim = sum(s.dim for s in summands)
-        basis = hom_basis_ungraded(ff, p_action, action, gens, p_dim, dim)
-        cover = _find_surjection(ff, basis, dim, rng)
+            covers = [constructions.projective_indec(p, a)
+                      for a in range(p - 1, -1, -1)
+                      for _ in range(content[a])]
+        p_action = {g: _stack_blocks([c.action[g] for c in covers])
+                    for g in gens}
+        p_dim = sum(c.dim for c in covers)
+        basis = hom_basis_ungraded(p, p_action, action, gens, p_dim, dim)
+        cover = _find_surjection(p, basis, dim, rng)
         assert cover is not None, "no surjective map from the candidate cover"
         dims.append(p_dim)
-        ker = ff.kernel_basis(cover)
+        ker = R.kernel_basis(p, cover)
         new_action = {}
         for g in gens:
-            sol = ff.solve_matrix(ker, ff.matmul(p_action[g], ker))
+            sol = R.solve_matrix(p, ker, R.matmul(p, p_action[g], ker))
             assert sol is not None
             new_action[g] = sol
         action, dim = new_action, ker.shape[1]
     return dims
-
-
-def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
-    return _stack_blocks([block] * copies)
 
 
 def _stack_blocks(blocks: list[np.ndarray]) -> np.ndarray:
@@ -145,14 +107,14 @@ def _stack_blocks(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _find_surjection(ff, basis, target_dim, rng):
+def _find_surjection(p, basis, target_dim, rng):
     for t in basis:
-        if ff.rank(t) == target_dim:
+        if R.rank(p, t) == target_dim:
             return t
     for _ in range(200):
-        coeffs = rng.integers(0, ff.p, size=len(basis))
-        t = ff.reduce(sum(int(c) * b for c, b in zip(coeffs, basis)))
-        if ff.rank(t) == target_dim:
+        coeffs = rng.integers(0, p, size=len(basis))
+        t = sum(int(c) * b for c, b in zip(coeffs, basis)) % p
+        if R.rank(p, t) == target_dim:
             return t
     return None
 
@@ -161,18 +123,15 @@ def has_ungraded_section(seq) -> bool:
     """True iff the surjection of the sequence admits an un-graded
     module-map section (so the sequence splits after forgetting grading)."""
     v, e = seq.right, seq.middle
-    ff = v.field
     alg = v.algebra
-    gens = list(alg.generators()) + (["H"] if alg.kind == "sl2r1" else [])
     n, m = v.dim, e.dim
     eye_n = np.eye(n, dtype=np.int64)
     eye_m = np.eye(m, dtype=np.int64)
-    blocks = [ff.reduce(np.kron(eye_n, e.action[g])
-                        - np.kron(v.action[g].T, eye_m)) for g in gens]
+    blocks = [np.kron(eye_n, e.action[g]) - np.kron(v.action[g].T, eye_m)
+              for g in alg.generators()]
     # pi @ T == I_n, as rows on vec(T)
-    blocks.append(ff.reduce(np.kron(eye_n, seq.surj.matrix)))
+    blocks.append(np.kron(eye_n, seq.surj.matrix))
     rhs = np.concatenate([np.zeros(sum(b.shape[0] for b in blocks[:-1]),
                                    dtype=np.int64),
                           eye_n.T.reshape(-1)])
-    sol = ff.solve(np.vstack(blocks), rhs)
-    return sol is not None
+    return R.solve(alg.p, np.vstack(blocks), rhs) is not None
