@@ -326,7 +326,7 @@ def enumerate_degree_candidates(p: int, d: int
         verdict = polynomial.is_polynomial(m)
         if not verdict.is_polynomial or verdict.degree != d:
             return
-        if len(decompose(m)) != 1 or decompose(m)[0][1] != 1:
+        if [mult for _, mult in decompose(m)] != [1]:
             return  # e.g. V(sp + p - 1) splits into Steinberg shifts
         for _, other in out:
             if other.dim == m.dim and sorted(other.weights) == \

@@ -84,7 +84,8 @@ class PrimeField:
         return flat.reshape(mats.shape[1:]) % self.p
 
     def matpow(self, a: np.ndarray, k: int) -> np.ndarray:
-        n = a.shape[0]
+        """a^k mod p; a may be a stack of square matrices."""
+        n = a.shape[-1]
         result = self.eye(n)
         base = self.reduce(a)
         while k > 0:

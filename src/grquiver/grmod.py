@@ -370,29 +370,32 @@ def degree_decompose(m: GradedModule) -> dict[int, GradedModule]:
 # submodules and quotients
 
 
-def _homogeneous_column_basis(m: GradedModule,
-                              vectors: np.ndarray) -> np.ndarray:
-    """Basis (as columns) of the span, each column a weight vector of m.
+def _weight_component_basis(m: GradedModule,
+                            vectors: np.ndarray) -> np.ndarray:
+    """Basis (as columns) of the span of the weight components of the
+    columns, each basis column a weight vector of m.
 
-    The input columns must each be weight-homogeneous.  Groups by weight and
-    row-reduces within each weight block; column order follows sorted weights.
+    For each weight in sorted order, the components of that weight are
+    taken in column order and their pivot columns kept; blocks of different
+    weights have disjoint supports, so the result is independent.
     """
     ff = m.field
-    by_weight: dict[Weight, list[np.ndarray]] = {}
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j]
-        if not np.any(v):
-            continue
-        ws = {m.weights[i] for i in range(m.dim) if v[i]}
-        if len(ws) != 1:
-            raise ValueError("non-homogeneous vector in submodule span")
-        by_weight.setdefault(ws.pop(), []).append(v)
+    order = sorted(set(m.weights))
+    index = {w: t for t, w in enumerate(order)}
+    wid = np.array([index[w] for w in m.weights], dtype=np.int64)
     cols = []
-    for w in sorted(by_weight):
-        block = np.stack(by_weight[w], axis=1)
-        cols.append(ff.column_space_basis(block))
+    for t in range(len(order)):
+        rows = np.flatnonzero(wid == t)
+        sub = vectors[rows]
+        sub = sub[:, sub.any(axis=0)]
+        if sub.shape[1] == 0:
+            continue
+        _, pivots, _ = ff.rref(sub)
+        block = ff.zeros(m.dim, len(pivots))
+        block[rows] = sub[:, pivots]
+        cols.append(block)
     if not cols:
-        return np.zeros((m.dim, 0), dtype=np.int64)
+        return ff.zeros(m.dim, 0)
     return np.hstack(cols)
 
 
@@ -403,17 +406,10 @@ def homogenize_columns(m: GradedModule, basis: np.ndarray) -> np.ndarray:
     homogeneous operators); returns a weight-homogeneous basis of the same
     span.
     """
-    pieces = []
-    for j in range(basis.shape[1]):
-        v = basis[:, j]
-        for w in sorted({m.weights[i] for i in range(m.dim) if v[i]}):
-            comp = np.where([m.weights[i] == w for i in range(m.dim)], v, 0)
-            pieces.append(comp)
-    if not pieces:
-        return np.zeros((m.dim, 0), dtype=np.int64)
-    stacked = np.stack(pieces, axis=1)
-    out = _homogeneous_column_basis(m, stacked)
-    if m.field.rank(out) != m.field.rank(basis):
+    out = _weight_component_basis(m, basis)
+    # the components span at least the columns; equal ranks mean equal spans
+    # (out is independent by construction, so its rank is its width)
+    if out.shape[1] != m.field.rank(basis):
         raise ValueError("subspace is not graded")  # constraint, not expected
     return out
 
@@ -452,12 +448,14 @@ def submodule_span(m: GradedModule,
     if not vecs or all(not np.any(v) for v in vecs):
         z = zero_module(m.algebra)
         return z, ModuleMap(z, m, np.zeros((m.dim, 0), dtype=np.int64))
-    basis = _homogeneous_column_basis(m, np.stack(vecs, axis=1))
+    # every column below is a weight vector, so its weight component is
+    # itself: the component basis is a basis of the span
+    basis = _weight_component_basis(m, np.stack(vecs, axis=1))
     while True:
         images = [basis]
         for g in m.algebra.generators():
             images.append(ff.matmul(m.action[g], basis))
-        new_basis = _homogeneous_column_basis(m, np.hstack(images))
+        new_basis = _weight_component_basis(m, np.hstack(images))
         if new_basis.shape[1] == basis.shape[1]:
             break
         basis = new_basis
@@ -650,14 +648,66 @@ def hom_space(m: GradedModule, n: GradedModule) -> list[np.ndarray]:
     return list(basis)
 
 
-def is_isomorphic(m: GradedModule, n: GradedModule,
-                  seed: int = 0) -> np.ndarray | None:
-    """Invertible intertwiner m -> n, or None (certified at these dims).
+def _nilpotent_parts(m: GradedModule,
+                     basis: list[np.ndarray]) -> np.ndarray | None:
+    """b - c_b for each endomorphism b, where c_b is the scalar making it
+    nilpotent (unique when it exists), stacked; None when some b has no
+    eigenvalue c in F_p with (b - c)^dim = 0."""
+    ff = m.field
+    stack = np.stack(basis)
+    out = np.zeros_like(stack)
+    found = np.zeros(len(stack), dtype=bool)
+    for c in range(ff.p):
+        shifted = (stack - c * ff.eye(m.dim)) % ff.p
+        nil = ~ff.matpow(shifted, m.dim).reshape(len(stack), -1).any(axis=1)
+        out[nil] = shifted[nil]
+        found |= nil
+        if found.all():
+            return out
+    return None
 
-    Certification: graded dimensions differ, or no invertible combination of
-    the Hom basis exists — decided exhaustively when the search space is
-    small, otherwise by 64 seeded random draws followed by exhaustive
-    fallback.
+
+def _is_local(m: GradedModule, basis: list[np.ndarray]) -> bool:
+    """End(m) (spanned by basis) is local with residue field F_p.
+
+    That holds iff every basis element is a scalar plus a nilpotent b - c_b
+    and the span J of the b - c_b is a nilpotent subalgebra; J is then the
+    radical.  The chain J, J^2, ... is followed until it reaches 0 or stops
+    shrinking, at most dim J rounds.
+    """
+    nil = _nilpotent_parts(m, basis)
+    if nil is None:
+        return False
+    ff = m.field
+    n = m.dim
+
+    def span(mats: np.ndarray) -> np.ndarray:
+        flat = mats.reshape(len(mats), -1)
+        _, pivots, _ = ff.rref(flat.T)
+        return flat[pivots].reshape(-1, n, n)
+
+    J = span(nil)
+    power = J
+    while len(power):
+        nxt = span(ff.matmul(power[:, None], J[None, :]).reshape(-1, n, n))
+        # J^(k+1) must lie inside J^k (for k = 1: J is closed under
+        # products) and be smaller (else J^k = J^(k+1) != 0)
+        if (len(nxt) == len(power)
+                or len(span(np.concatenate([power, nxt]))) != len(power)):
+            return False
+        power = nxt
+    return True
+
+
+def is_isomorphic(m: GradedModule, n: GradedModule) -> np.ndarray | None:
+    """Invertible intertwiner m -> n, or None (certified).
+
+    Deterministic and polynomial in the dimensions.  The first full-rank
+    element of the Hom basis, scanned from the last, is returned.  If there
+    is none and End(m) is local, the non-isomorphisms form a subspace (a
+    hyperplane when m and n are isomorphic), so none exists.  Otherwise
+    both modules are decomposed and their indecomposable summands matched
+    pairwise (Krull-Schmidt).
     """
     if m.algebra != n.algebra:
         return None
@@ -671,26 +721,27 @@ def is_isomorphic(m: GradedModule, n: GradedModule,
     basis = hom_space(m, n)
     if not basis:
         return None
-    basis = np.stack(basis)
-    k = len(basis)
-    p = ff.p
-    if p ** k <= 20000:
-        for coeffs in np.ndindex(*([p] * k)):
-            phi = ff.combine(coeffs, basis)
-            if ff.inv_matrix(phi) is not None:
-                return phi
+    for phi in reversed(basis):
+        if ff.rank(phi) == m.dim:
+            return phi
+    if _is_local(m, hom_space(m, m)):
         return None
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        coeffs = rng.integers(0, p, size=k)
-        phi = ff.combine(coeffs, basis)
-        if ff.inv_matrix(phi) is not None:
-            return phi
-    for coeffs in np.ndindex(*([p] * k)):  # deterministic fallback
-        phi = ff.combine(coeffs, basis)
-        if ff.inv_matrix(phi) is not None:
-            return phi
-    return None
+    ours, theirs = _decompose_rec(m), _decompose_rec(n)
+    if len(ours) != len(theirs):
+        return None
+    cols = []
+    for piece, _ in ours:
+        for t, (other, incl) in enumerate(theirs):
+            phi = is_isomorphic(piece, other)
+            if phi is not None:
+                cols.append(ff.matmul(incl, phi))
+                del theirs[t]
+                break
+        else:
+            return None
+    # Phi maps the i-th summand of m onto its partner in n
+    return ff.matmul(np.hstack(cols),
+                     ff.inv_matrix(np.hstack([incl for _, incl in ours])))
 
 
 def _fitting_split(m: GradedModule, psi: np.ndarray
@@ -708,11 +759,10 @@ def _fitting_split(m: GradedModule, psi: np.ndarray
 def decompose(m: GradedModule, seed: int = 0
               ) -> list[tuple[GradedModule, int]]:
     """Indecomposable direct summands with multiplicities (Fitting splits)."""
-    pieces = _decompose_rec(m, seed)
     grouped: list[tuple[GradedModule, int]] = []
-    for piece in pieces:
+    for piece, _ in _decompose_rec(m, seed):
         for t, (rep, mult) in enumerate(grouped):
-            if is_isomorphic(piece, rep, seed) is not None:
+            if is_isomorphic(piece, rep) is not None:
                 grouped[t] = (rep, mult + 1)
                 break
         else:
@@ -741,37 +791,37 @@ def _endo_candidates(m: GradedModule, basis: list[np.ndarray],
     return cands
 
 
-def _decompose_rec(m: GradedModule, seed: int) -> list[GradedModule]:
+def _decompose_rec(m: GradedModule, seed: int = 0
+                   ) -> list[tuple[GradedModule, np.ndarray]]:
+    """Indecomposable summands of m, each with its inclusion matrix into m;
+    together the inclusions form an invertible matrix."""
     if m.dim == 0:
         return []
+    ff = m.field
+
+    def included(incl: np.ndarray, sub: GradedModule):
+        return [(piece, ff.matmul(incl, j))
+                for piece, j in _decompose_rec(sub, seed)]
+
     # cheap first split: weight-degree blocks are always direct summands
     by_deg = degree_decompose(m)
     if len(by_deg) > 1:
-        return [piece for d in sorted(by_deg)
-                for piece in _decompose_rec(by_deg[d], seed)]
-    ff = m.field
+        degs = np.array([weight_degree(w) for w in m.weights])
+        return [pair for d in sorted(by_deg)
+                for pair in included(ff.eye(m.dim)[:, degs == d], by_deg[d])]
     basis = hom_space(m, m)
-    if len(basis) == 1:
-        return [m]
+    if len(basis) == 1 or _is_local(m, basis):
+        return [(m, ff.eye(m.dim))]
     for phi in _endo_candidates(m, basis, seed):
         for c in range(ff.p):
             psi = (phi - c * ff.eye(m.dim)) % ff.p
             split = _fitting_split(m, psi)
             if split is not None:
                 kernel, image = split
-                sub_k, _ = submodule_from_subspace(m, kernel)
-                sub_i, _ = submodule_from_subspace(m, image)
-                return _decompose_rec(sub_k, seed) + _decompose_rec(sub_i, seed)
-    # no split found: certify local endomorphism ring on the candidates
-    for phi in basis:
-        ok = False
-        for c in range(ff.p):
-            psi = (phi - c * ff.eye(m.dim)) % ff.p
-            if not np.any(ff.matpow(psi, m.dim)):
-                ok = True
-                break
-        if not ok:
-            raise RuntimeError(
-                "endomorphism without F_p eigenvalue: module may only "
-                "decompose over an extension field")
-    return [m]
+                sub_k, incl_k = submodule_from_subspace(m, kernel)
+                sub_i, incl_i = submodule_from_subspace(m, image)
+                return (included(incl_k.matrix, sub_k)
+                        + included(incl_i.matrix, sub_i))
+    raise RuntimeError(
+        "End(m) is not local over F_p, but no candidate endomorphism splits "
+        "m: the module may only decompose over an extension field")

@@ -4,13 +4,15 @@ sequences, Betti sequences and rank-variety probes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import constructions
-from .grmod import (GradedModule, ModuleMap, Weight, decompose, direct_sum,
-                    dual, hom_space, is_isomorphic, quotient, shift,
-                    submodule_from_subspace, top, zero_module)
+from .grmod import (GradedModule, ModuleMap, Weight, _decompose_rec,
+                    _nilpotent_parts, direct_sum, dual, hom_space,
+                    is_isomorphic, quotient, shift, submodule_from_subspace,
+                    top, zero_module)
 
 
 @dataclass
@@ -57,18 +59,17 @@ def _find_section(middle: GradedModule, right: GradedModule,
 # projective covers
 
 
-def _identify_simple_summands(t: GradedModule) -> list[tuple[int, Weight]]:
-    """Write a semisimple sl2r1 module as a list of (a, shift) for L(a)[mu]."""
-    out = []
-    for piece, mult in decompose(t):
-        a = piece.dim - 1
-        mu = (min(w[0] for w in piece.weights),
-              min(w[1] for w in piece.weights))
-        ref = shift(constructions.simple_hat(t.algebra.p, a), mu)
-        if is_isomorphic(piece, ref) is None:
-            raise RuntimeError("top summand is not a shifted simple")
-        out.extend([(a, mu)] * mult)
-    return out
+@lru_cache(maxsize=None)
+def _projective_top(p: int, a: int) -> tuple[GradedModule, np.ndarray]:
+    """top(Q(a)) and the projection Q(a) -> top(Q(a)), read-only.
+
+    top commutes with shift, so shifting the top by mu gives the top of
+    Q(a)[mu] with the same projection matrix.
+    """
+    t, proj = top(constructions.projective_indec(p, a))
+    for arr in (*t.action.values(), proj.matrix):
+        arr.flags.writeable = False
+    return t, proj.matrix
 
 
 def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
@@ -116,15 +117,23 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
         if not epi.is_surjective():
             raise RuntimeError("borel cover construction failed to surject")
         return P, epi
-    # sl2r1
-    summands = _identify_simple_summands(t)
+    # sl2r1: one Q(a)[mu] per simple summand L(a)[mu] of the top, grouped by
+    # isomorphism class in order of first appearance; the target P -> top(m)
+    # sends the top of each Q(a)[mu] isomorphically onto its summand
+    classes: dict[tuple[int, Weight], list[np.ndarray]] = {}
+    for piece, incl in _decompose_rec(t):
+        a = piece.dim - 1
+        mu = (min(w[0] for w in piece.weights),
+              min(w[1] for w in piece.weights))
+        tq, proj_q = _projective_top(m.algebra.p, a)
+        psi = is_isomorphic(shift(tq, mu), piece)
+        if psi is None:
+            raise RuntimeError("top summand is not a shifted simple")
+        classes.setdefault((a, mu), []).append(
+            ff.matmul(incl, ff.matmul(psi, proj_q)))
     P = direct_sum([shift(constructions.projective_indec(m.algebra.p, a), mu)
-                    for a, mu in summands])
-    tP, projP = top(P)
-    psi0 = is_isomorphic(tP, t)
-    if psi0 is None:
-        raise RuntimeError("top of candidate cover does not match top(m)")
-    target = ff.matmul(psi0, projP.matrix)  # P -> t
+                    for (a, mu), maps in classes.items() for _ in maps])
+    target = np.hstack([f for maps in classes.values() for f in maps])
     basis = hom_space(P, m)
     cols = [ff.matmul(proj.matrix, phi).reshape(-1) for phi in basis]
     x = ff.solve(np.stack(cols, axis=1) if cols else
@@ -250,24 +259,11 @@ def ext1(v: GradedModule, w: GradedModule
 def _radical_endos(v: GradedModule) -> list[np.ndarray]:
     """Basis of rad End(v) for indecomposable v (nilpotent parts)."""
     ff = v.field
-    endos = hom_space(v, v)
-    rad = []
-    for phi in endos:
-        found = False
-        for c in range(ff.p):
-            psi = (phi - c * ff.eye(v.dim)) % ff.p
-            if not np.any(ff.matpow(psi, v.dim)):
-                if np.any(psi):
-                    rad.append(psi)
-                found = True
-                break
-        if not found:
-            raise RuntimeError("End(v) is not split local over F_p; "
-                               "cannot form the almost split sequence")
-    if not rad:
-        return []
-    basis = ff.column_space_basis(np.stack([r.reshape(-1) for r in rad],
-                                           axis=1))
+    nil = _nilpotent_parts(v, hom_space(v, v))
+    if nil is None:
+        raise RuntimeError("End(v) is not split local over F_p; "
+                           "cannot form the almost split sequence")
+    basis = ff.column_space_basis(nil.reshape(len(nil), -1).T)
     return [basis[:, j].reshape(v.dim, v.dim) for j in range(basis.shape[1])]
 
 

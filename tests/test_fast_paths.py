@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 import reference_gf as R
+import reference_iso as RI
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
+from grquiver import grmod as G
 from grquiver import homological as H
-from grquiver.grmod import (homogenize_columns, hom_space, quotient, radical,
+from grquiver import polynomial
+from grquiver.grmod import (decompose, direct_sum, homogenize_columns,
+                            hom_space, is_isomorphic, quotient, radical,
                             socle)
 
 
@@ -92,6 +96,68 @@ def ext1_loop(v, w):
     return dim_ext, reps
 
 
+def homogenize_columns_loop(m, basis):
+    """homogenize_columns with one weight set per column and one masked
+    component per (column, weight), grouped by weight."""
+    p = m.algebra.p
+    by_weight = {}
+    for j in range(basis.shape[1]):
+        v = basis[:, j]
+        for w in sorted({m.weights[i] for i in range(m.dim) if v[i]}):
+            comp = np.where([m.weights[i] == w for i in range(m.dim)], v, 0)
+            by_weight.setdefault(w, []).append(comp)
+    cols = []
+    for w in sorted(by_weight):
+        block = np.stack(by_weight[w], axis=1)
+        cols.append(block[:, R.rref(p, block)[1]])
+    out = (np.hstack(cols) if cols
+           else np.zeros((m.dim, 0), dtype=np.int64))
+    if R.rank(p, out) != R.rank(p, basis):
+        raise ValueError("subspace is not graded")
+    return out
+
+
+def batched_full_rank(p, mats):
+    """Full-rank flags of a stack of square matrices, by elimination of all
+    of them at once."""
+    a = np.array(mats, dtype=np.int64) % p
+    count, n = a.shape[0], a.shape[1]
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    full = np.ones(count, dtype=bool)
+    rows = np.arange(count)
+    for c in range(n):
+        nonzero = a[:, c:, c] != 0
+        full &= nonzero.any(axis=1)
+        piv = c + nonzero.argmax(axis=1)
+        top_row, piv_row = a[rows, c].copy(), a[rows, piv].copy()
+        a[rows, c], a[rows, piv] = piv_row, top_row
+        a[:, c] = a[:, c] * inv[a[:, c, c]][:, None] % p
+        a[:, c + 1:] = (a[:, c + 1:] - a[:, c + 1:, c, None]
+                        * a[:, c, None, :]) % p
+    return full
+
+
+def is_local_brute_force(m):
+    """End(m) is local: its non-units, found by listing all p^k elements,
+    are closed under addition, i.e. form a subspace of p^rank elements."""
+    p = m.algebra.p
+    basis = np.stack(hom_space(m, m))
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(basis))))
+    units = np.concatenate([
+        batched_full_rank(p, np.tensordot(chunk, basis, axes=1) % p)
+        for chunk in np.array_split(coeffs, -(-len(coeffs) // 1000))])
+    non_units = coeffs[~units]
+    return len(non_units) == p ** R.rank(p, non_units)
+
+
+def assert_same_summands(fast, slow):
+    assert len(fast) == len(slow)
+    for (a, ma), (b, mb) in zip(fast, slow):
+        assert ma == mb and a.weights == b.weights
+        for g in a.algebra.generators():
+            assert np.array_equal(a.action[g], b.action[g])
+
+
 def assert_same_basis(fast, slow):
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
@@ -158,3 +224,91 @@ def test_ext1_representatives(candidates, key):
         dim_loop, reps_loop = ext1_loop(v, w)
         assert dim == dim_loop
         assert_same_basis([c.rep.matrix for c in reps], reps_loop)
+
+
+def equal_weight_pairs(mods):
+    return [(a, b) for a, b in itertools.product(mods, mods)
+            if sorted(a.weights) == sorted(b.weights)]
+
+
+def rebased(m, rng):
+    """m in another weight basis: conjugated by a random invertible
+    weight-preserving matrix, so an isomorphism to it is not the identity."""
+    p = m.algebra.p
+    same = np.array([[v == w for w in m.weights] for v in m.weights])
+    while True:
+        t = np.where(same, rng.integers(0, p, (m.dim, m.dim)), 0)
+        t_inv = R.inv_matrix(p, t)
+        if t_inv is not None:
+            break
+    action = {g: R.matmul(p, R.matmul(p, t, a), t_inv)
+              for g, a in m.action.items()}
+    return G.GradedModule(m.algebra, m.weights, action)
+
+
+@pytest.mark.parametrize("key", SLICES, ids=lambda k: f"p{k[0]}-d{k[1]}")
+def test_isomorphism_against_search(candidates, key):
+    rng = np.random.default_rng(sum(key))
+    mods = candidates[key]
+    for a, b in equal_weight_pairs(mods) + [(m, rebased(m, rng))
+                                            for m in mods]:
+        fast, slow = is_isomorphic(a, b), RI.is_isomorphic(a, b)
+        assert (fast is None) == (slow is None)
+        p, k = a.algebra.p, len(hom_space(a, b))
+        if slow is not None and p ** k <= 20000:  # the search was exhaustive
+            assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+        s = direct_sum([a, b])
+        assert_same_summands(decompose(s), RI.decompose(s))
+
+
+@pytest.mark.parametrize("key", SLICES, ids=lambda k: f"p{k[0]}-d{k[1]}")
+def test_local_ring_against_brute_force(candidates, key):
+    # candidates are indecomposable; sums of two of them give non-local
+    # rings, brute-forced while p^dim End stays small
+    mods = candidates[key]
+    for m in mods:
+        basis = hom_space(m, m)
+        if len(basis) <= 6:
+            assert G._is_local(m, basis) and is_local_brute_force(m)
+    for a, b in equal_weight_pairs(mods):
+        m = direct_sum([a, b])
+        basis = hom_space(m, m)
+        if m.algebra.p ** len(basis) <= 1000:
+            assert not G._is_local(m, basis)
+            assert not is_local_brute_force(m)
+
+
+def test_local_ring_rejects_unipotent_basis():
+    # End(a + a) = M_2(F_p) for a with End(a) = F_p, written in a basis of
+    # unipotent and nilpotent matrices: every element has an eigenvalue in
+    # F_p, and only the products of the nilpotent parts show the ring is
+    # not local
+    a = C.weyl_hat(3, 4)
+    m = direct_sum([a, a])
+    eye = np.eye(a.dim, dtype=np.int64)
+    basis = [np.kron(np.array(x), eye) % 3
+             for x in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+                       [[1, 1], [-1, -1]])]
+    assert len(hom_space(a, a)) == 1 and len(hom_space(m, m)) == 4
+    assert G._nilpotent_parts(m, basis) is not None
+    assert not G._is_local(m, basis) and not is_local_brute_force(m)
+
+
+def test_homogenize_columns_against_loop(candidates, covers, monkeypatch):
+    seen = []
+    real = G._weight_component_basis
+
+    def record(m, vectors):
+        seen.append((m, vectors.copy()))
+        return real(m, vectors)
+    monkeypatch.setattr(G, "_weight_component_basis", record)
+    for mods in list(candidates.values()) + list(covers.values()):
+        for m in mods:
+            for build in (radical, socle, H.omega_with_maps,
+                          polynomial.t_poly, polynomial.u_poly):
+                build(m)
+    monkeypatch.undo()
+    assert len(seen) > 1000
+    for m, vectors in seen:
+        assert np.array_equal(homogenize_columns(m, vectors),
+                              homogenize_columns_loop(m, vectors))

@@ -2,17 +2,20 @@
 truncated polynomial rings: validation, shifts, dualities, radical layers,
 hom spaces and decomposition."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grquiver import constructions as C
-from grquiver.grmod import (GradedModule, borel_dual, character_module,
-                            contravariant_dual, decompose, degree_decompose,
-                            direct_sum, hom_space, is_isomorphic, quotient,
-                            radical, shift, socle, submodule_span, top,
-                            validate, weyl_twist, zero_module)
+from grquiver.grmod import (GradedModule, ModuleMap, borel_dual,
+                            character_module, contravariant_dual, decompose,
+                            degree_decompose, direct_sum, hom_space,
+                            is_isomorphic, quotient, radical, shift, socle,
+                            submodule_span, top, validate, weyl_twist,
+                            zero_module)
 
 
 P = 3
@@ -157,6 +160,24 @@ class TestHomAndIso:
         for g in v6.action:
             assert np.array_equal(ff.matmul(v6.action[g], phi),
                                   ff.matmul(phi, v6.action[g]))
+
+    def test_large_hom_non_isomorphic_is_fast(self):
+        # dim Hom = 16: a search over combinations would try 3^16 of them
+        v3, vo3 = C.weyl_hat(P, 3), C.weyl_hat_dual(P, 3)
+        m, n = direct_sum([v3, v3, v3, vo3]), direct_sum([v3] * 4)
+        assert len(hom_space(m, n)) == 16
+        start = time.perf_counter()
+        assert is_isomorphic(m, n) is None
+        assert time.perf_counter() - start < 5
+
+    def test_krull_schmidt_isomorphism_is_certified(self):
+        v3, vo3 = C.weyl_hat(P, 3), C.weyl_hat_dual(P, 3)
+        m, n = direct_sum([v3, vo3, v3]), direct_sum([vo3, v3, v3])
+        phi = is_isomorphic(m, n)
+        assert phi is not None
+        iso = ModuleMap(m, n, phi)
+        assert iso.check() == []  # keeps weights and intertwines
+        assert m.field.rank(phi) == m.dim
 
 
 class TestDecompose:
