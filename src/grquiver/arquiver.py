@@ -19,10 +19,6 @@ from .grmod import (GradedModule, contravariant_dual, decompose, hom_space,
 # canonical identification
 
 
-def _support_min(m: GradedModule) -> tuple[int, int]:
-    return (min(w[0] for w in m.weights), min(w[1] for w in m.weights))
-
-
 def identify(m: GradedModule) -> FamilyLabel | None:
     """Canonical family label of an indecomposable, or None.
 
@@ -41,7 +37,7 @@ def identify(m: GradedModule) -> FamilyLabel | None:
             if is_isomorphic(m, cand) is not None:
                 return FamilyLabel("Z", weight=lam, r=m.algebra.r)
         return None
-    mn = _support_min(m)
+    mn = m.support_min()
     candidates: list[FamilyLabel] = []
     e = m.dim - 1
     if e <= p - 1:
@@ -60,7 +56,7 @@ def identify(m: GradedModule) -> FamilyLabel | None:
     if m.dim == 2 * p:
         for a in range(p - 1):
             q = constructions.projective_indec(p, a)
-            qmn = _support_min(q)
+            qmn = q.support_min()
             candidates.append(FamilyLabel(
                 "Q", d=a, shift=(mn[0] - qmn[0], mn[1] - qmn[1])))
     for lab in candidates:
@@ -350,7 +346,7 @@ def enumerate_degree_candidates(p: int, d: int
             push(FamilyLabel("Wwo", d=dd, shift=mu))
     for a in range(p - 1):
         qm = constructions.projective_indec(p, a)
-        for mu in _legal_shifts(_support_min(qm), qm.degree(), d, p):
+        for mu in _legal_shifts(qm.support_min(), qm.degree(), d, p):
             push(FamilyLabel("Q", d=a, shift=mu))
     out.sort(key=lambda t: str(t[0]))
     return out
@@ -378,26 +374,6 @@ class _UnionFind:
         return list(out.values())
 
 
-def _ext1_dim(v: GradedModule, w: GradedModule, omega_cache: dict) -> int:
-    key = id(v)
-    if key not in omega_cache:
-        omega_cache[key] = homological.omega_with_maps(v)
-    K, incl, P, _ = omega_cache[key]
-    if not (set(K.weights) & set(w.weights)):
-        return 0
-    ff = v.field
-    homs = hom_space(K, w)
-    if not homs:
-        return 0
-    homsP = hom_space(P, w)
-    flat = np.stack([h.reshape(-1) for h in homs], axis=1)
-    if homsP:
-        B = np.stack([ff.matmul(h, incl.matrix).reshape(-1) for h in homsP],
-                     axis=1)
-        return ff.rank(np.hstack([flat, B])) - ff.rank(B)
-    return ff.rank(flat)
-
-
 def partition_blocks(cands: list[tuple[FamilyLabel, GradedModule]]
                      ) -> list[list[int]]:
     """Linkage-closure blocks (nonzero Hom or Ext^1) on candidate indices."""
@@ -410,34 +386,29 @@ def partition_blocks(cands: list[tuple[FamilyLabel, GradedModule]]
             mi, mj = cands[i][1], cands[j][1]
             if hom_space(mi, mj) or hom_space(mj, mi):
                 uf.union(i, j)
-    omega_cache: dict = {}
     for i in range(n):
         for j in range(n):
             if i == j or uf.find(i) == uf.find(j):
                 continue
-            if _ext1_dim(cands[i][1], cands[j][1], omega_cache) > 0:
+            if homological.ext1(cands[i][1], cands[j][1])[0] > 0:
                 uf.union(i, j)
     return sorted(uf.groups(), key=lambda g: str(cands[min(g)][0]))
 
 
-def block_is_semisimple(cands, block, omega_cache=None) -> bool:
-    if omega_cache is None:
-        omega_cache = {}
+def block_is_semisimple(cands, block) -> bool:
     if len(block) > 1:
         return False
     i = block[0]
     m = cands[i][1]
     if len(hom_space(m, m)) > 1:
         return False
-    return _ext1_dim(m, m, omega_cache) == 0
+    return homological.ext1(m, m)[0] == 0
 
 
 def count_non_semisimple_blocks(p: int, d: int) -> int:
     cands = enumerate_degree_candidates(p, d)
     blocks = partition_blocks(cands)
-    cache: dict = {}
-    return sum(0 if block_is_semisimple(cands, b, cache) else 1
-               for b in blocks)
+    return sum(0 if block_is_semisimple(cands, b) else 1 for b in blocks)
 
 
 def _ext_injective_in_poly(v: GradedModule) -> bool:

@@ -116,20 +116,27 @@ def sl2_tensor(m: GradedModule, n: GradedModule) -> GradedModule:
     return GradedModule(m.algebra, weights, action)
 
 
+def _read_only(m: GradedModule) -> GradedModule:
+    for arr in m.action.values():
+        arr.flags.writeable = False
+    return m
+
+
 @lru_cache(maxsize=None)
 def projective_indec(p: int, a: int) -> GradedModule:
     """Q(a): graded projective indecomposable, normalized to top L(a)[(0,0)].
 
     Obtained as the dim-2p direct summand with top L(a) of the projective
     module St (x) L(p-1-a); the Steinberg module is projective and tensoring
-    preserves projectivity.
+    preserves projectivity. The result is cached, so its arrays are
+    read-only.
     """
     from .grmod import decompose, is_isomorphic  # deferred: cycle at import
 
     if not 0 <= a <= p - 1:
         raise ValueError(f"a must lie in [0, {p - 1}]")
     if a == p - 1:
-        return simple_hat(p, p - 1)
+        return _read_only(simple_hat(p, p - 1))
     big = sl2_tensor(simple_hat(p, p - 1), simple_hat(p, p - 1 - a))
     for piece, _mult in decompose(big):
         if piece.dim != 2 * p:
@@ -137,11 +144,11 @@ def projective_indec(p: int, a: int) -> GradedModule:
         t, _ = top(piece)
         if t.dim != a + 1:
             continue
-        mu = (min(w[0] for w in t.weights), min(w[1] for w in t.weights))
+        mu = t.support_min()
         cand = shift(piece, (-mu[0], -mu[1]))
         tt, _ = top(cand)
         if is_isomorphic(tt, simple_hat(p, a)) is not None:
-            return cand
+            return _read_only(cand)
     raise RuntimeError(f"no summand with top L({a}) found in St (x) "
                        f"L({p - 1 - a})")
 

@@ -102,6 +102,11 @@ class GradedModule:
     def support(self) -> set[Weight]:
         return set(self.weights)
 
+    def support_min(self) -> Weight:
+        """The coordinatewise minimum of the weights."""
+        return (min(w[0] for w in self.weights),
+                min(w[1] for w in self.weights))
+
     def weight_indices(self, w: Weight) -> list[int]:
         return [j for j, wj in enumerate(self.weights) if wj == w]
 

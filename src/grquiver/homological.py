@@ -9,10 +9,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import constructions
-from .grmod import (GradedModule, ModuleMap, Weight, _decompose_rec,
-                    _nilpotent_parts, direct_sum, dual, hom_space,
-                    is_isomorphic, quotient, shift, submodule_from_subspace,
-                    top, zero_module)
+from .grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
+                    _decompose_rec, _nilpotent_parts, direct_sum, dual,
+                    hom_space, is_isomorphic, quotient, shift,
+                    submodule_from_subspace, top, zero_module)
 
 
 @dataclass
@@ -123,8 +123,7 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     classes: dict[tuple[int, Weight], list[np.ndarray]] = {}
     for piece, incl in _decompose_rec(t):
         a = piece.dim - 1
-        mu = (min(w[0] for w in piece.weights),
-              min(w[1] for w in piece.weights))
+        mu = piece.support_min()
         tq, proj_q = _projective_top(m.algebra.p, a)
         psi = is_isomorphic(shift(tq, mu), piece)
         if psi is None:
@@ -148,14 +147,48 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
 
 
 def is_projective(m: GradedModule) -> bool:
-    if m.dim == 0:
-        return True
-    P, _ = projective_cover(m)
-    return P.dim == m.dim
+    """m is free over k[x]/(x^p) for x = E, F (sl2r1) or each X_i (borel).
+
+    The rank variety of m (Friedlander-Parshall, Invent. Math. 86, 1986;
+    Carlson, J. Algebra 85, 1983) is a closed cone stable under the torus,
+    and a torus limit of any nonzero point lies on a root line (sl2) or a
+    coordinate axis (borel); so these elements decide projectivity.
+    """
+    ff = m.field
+    gens = ["E", "F"] if m.algebra.kind == "sl2r1" else m.algebra.generators()
+    free_rank = m.dim * (ff.p - 1) // ff.p
+    return m.dim % ff.p == 0 and all(ff.rank(m.action[g]) == free_rank
+                                     for g in gens)
 
 
 # ---------------------------------------------------------------------------
 # Heller shifts and the AR translate
+
+
+def _packed(algebra: AlgebraKind, mats) -> np.ndarray:
+    """mats, read-only, in the smallest unsigned type holding 0..p-1."""
+    out = np.asarray(mats).astype(np.min_scalar_type(algebra.p - 1))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=256)
+def _presentation(algebra: AlgebraKind, weights: tuple[Weight, ...],
+                  action: bytes) -> tuple:
+    """The minimal presentation of the module with these weights and this
+    packed action (generators stacked in order), packed:
+    ((K weights, K action), incl, (P weights, P action), epi)."""
+    gens, n = algebra.generators(), len(weights)
+    mats = np.frombuffer(action, dtype=np.min_scalar_type(algebra.p - 1))
+    m = GradedModule(algebra, weights,
+                     dict(zip(gens, mats.reshape(len(gens), n, n))))
+    P, epi = projective_cover(m)
+    K, incl = submodule_from_subspace(P, m.field.kernel_basis(epi.matrix))
+
+    def module(x: GradedModule) -> tuple:
+        return x.weights, _packed(algebra, [x.action[g] for g in gens])
+    return (module(K), _packed(algebra, incl.matrix), module(P),
+            _packed(algebra, epi.matrix))
 
 
 def omega_with_maps(m: GradedModule
@@ -166,11 +199,24 @@ def omega_with_maps(m: GradedModule
     K carries no projective summands: a projective submodule of P would be
     injective (self-injectivity), hence a direct summand, contradicting
     minimality of the cover.
+
+    The presentation commutes with shift, so it is computed once per shift
+    class: `_presentation` (a bounded LRU cache) is keyed by m shifted so
+    that its support minimum is (0, 0), and K and P are shifted back. The
+    constructors copy the packed cached arrays into fresh int64 ones.
     """
-    P, epi = projective_cover(m)
-    kernel = m.field.kernel_basis(epi.matrix)
-    K, incl = submodule_from_subspace(P, kernel)
-    return K, incl, P, epi
+    mu = m.support_min() if m.dim else (0, 0)
+    gens = m.algebra.generators()
+    (kw, ka), incl, (pw, pa), epi = _presentation(
+        m.algebra, tuple((a - mu[0], b - mu[1]) for a, b in m.weights),
+        _packed(m.algebra, [m.action[g] for g in gens]).tobytes())
+
+    def unpacked(weights, mats) -> GradedModule:
+        return GradedModule(m.algebra,
+                            tuple((a + mu[0], b + mu[1]) for a, b in weights),
+                            dict(zip(gens, mats)))
+    K, P = unpacked(kw, ka), unpacked(pw, pa)
+    return K, ModuleMap(K, P, incl), P, ModuleMap(P, m, epi)
 
 
 def omega(m: GradedModule) -> GradedModule:

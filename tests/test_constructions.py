@@ -78,6 +78,14 @@ class TestProjectives:
         soc, _ = socle(q)
         assert is_isomorphic(t, soc) is not None
 
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_cached_projective_is_read_only(self, a):
+        q = C.projective_indec(3, a)
+        for g, mat in q.action.items():
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1
+        assert validate(C.projective_indec(3, a)) == []
+
     def test_steinberg_is_projective_simple(self):
         st_mod = C.simple_hat(3, 2)
         # St = L(p-1) is its own projective cover; projective_indec is only

@@ -302,6 +302,7 @@ def test_homogenize_columns_against_loop(candidates, covers, monkeypatch):
         seen.append((m, vectors.copy()))
         return real(m, vectors)
     monkeypatch.setattr(G, "_weight_component_basis", record)
+    H._presentation.cache_clear()  # Omega must compute, not hit the cache
     for mods in list(candidates.values()) + list(covers.values()):
         for m in mods:
             for build in (radical, socle, H.omega_with_maps,
@@ -312,3 +313,90 @@ def test_homogenize_columns_against_loop(candidates, covers, monkeypatch):
     for m, vectors in seen:
         assert np.array_equal(homogenize_columns(m, vectors),
                               homogenize_columns_loop(m, vectors))
+
+
+def omega_with_maps_uncached(m):
+    """omega_with_maps as one cover and one kernel of m itself."""
+    P, epi = H.projective_cover(m)
+    K, incl = G.submodule_from_subspace(P, m.field.kernel_basis(epi.matrix))
+    return K, incl, P, epi
+
+
+def presentation_bytes(pres):
+    """Weights, action bytes and map bytes of (K, incl, P, epi)."""
+    K, incl, P, epi = pres
+    out = [K.weights, P.weights, incl.matrix.dtype, incl.matrix.tobytes(),
+           epi.matrix.dtype, epi.matrix.tobytes()]
+    for mod in (K, P):
+        for g in mod.algebra.generators():
+            out += [mod.action[g].dtype, mod.action[g].tobytes()]
+    return out
+
+
+SHIFTS = [(-2, 1), (0, 0), (3, 3)]
+
+
+@pytest.mark.parametrize("key", SLICES, ids=lambda k: f"p{k[0]}-d{k[1]}")
+def test_presentation_cache_is_shift_exact(candidates, key):
+    # a hit served from another shift of the same module, a cold miss and
+    # the cover computed on the shifted module itself agree byte for byte
+    mods = candidates[key]
+    shifted = [G.shift(m, lam) for m in mods for lam in SHIFTS]
+    H._presentation.cache_clear()
+    warm = [presentation_bytes(H.omega_with_maps(m)) for m in shifted]
+    # one miss per candidate, except candidates that are shifts of another
+    classes = {G.shift(m, tuple(-x for x in m.support_min())).to_json()
+               for m in mods}
+    assert H._presentation.cache_info().misses == len(classes)
+    for m, got in zip(shifted, warm):
+        H._presentation.cache_clear()
+        assert got == presentation_bytes(H.omega_with_maps(m))
+        assert got == presentation_bytes(omega_with_maps_uncached(m))
+
+
+def test_presentation_cache_hands_out_copies():
+    m = C.w_hat(3, 4)
+    first = H.omega_with_maps(m)
+    before = presentation_bytes(first)
+    K, incl, P, epi = first
+    for mat in [incl.matrix, epi.matrix, *K.action.values(),
+                *P.action.values()]:
+        mat += 1
+    assert presentation_bytes(H.omega_with_maps(m)) == before
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_tau_walk_misses_once_per_shift_class(d):
+    # tau(W(d)) is a shift of W(d): the walk computes Omega(W(d)) and
+    # Omega^2(W(d)) once and serves every later step from the cache
+    H._presentation.cache_clear()
+    m = C.w_hat(3, d)
+    for _ in range(8):
+        m = H.tau(m)
+    assert H._presentation.cache_info().misses == 2
+    assert sorted(m.weights) != sorted(C.w_hat(3, d).weights)
+
+
+def projectivity_inputs(candidates):
+    """Candidates with their covers, syzygies and sums with their covers;
+    borel characters, free modules, syzygies and sums."""
+    for mods in candidates.values():
+        for m in mods:
+            P = H.projective_cover(m)[0]
+            yield from (m, P, H.omega(m), direct_sum([m, P]))
+    for p, r in itertools.product((3, 5), (1, 2)):
+        alg = C.borel_algebra(p, r)
+        k = G.character_module(alg, (0, 0))
+        z = C.borel_projective((1, 0), alg)
+        o1, o2 = H.omega(k), H.omega_pow(k, 2)
+        yield from (k, z, o1, o2, G.dual(o1), direct_sum([k, z]),
+                    direct_sum([o1, z]), direct_sum([o1, o2]),
+                    direct_sum([z, z]))
+
+
+def test_projectivity_from_rank_varieties(candidates):
+    verdicts = [(H.is_projective(m), H.projective_cover(m)[0].dim == m.dim)
+                for m in projectivity_inputs(candidates)]
+    assert all(fast == slow for fast, slow in verdicts)
+    projective = sum(slow for _, slow in verdicts)
+    assert 0 < projective < len(verdicts)
