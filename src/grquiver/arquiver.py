@@ -7,12 +7,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import constructions, homological, polynomial
 from .constructions import FamilyLabel
-from .grmod import (GradedModule, contravariant_dual, decompose, hom_space,
-                    is_isomorphic, shift, weight_degree)
+from .grmod import (AlgebraKind, GradedModule, contravariant_dual, decompose,
+                    hom_space, is_isomorphic, quotient, radical, shift, socle,
+                    weight_degree, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +63,6 @@ def identify(m: GradedModule) -> FamilyLabel | None:
             cand = lab.build(p)
         except (ValueError, RuntimeError):
             continue
-        if cand.dim != m.dim or sorted(cand.weights) != sorted(m.weights):
-            continue
         if is_isomorphic(m, cand) is not None:
             return lab
     return None
@@ -96,10 +93,8 @@ class ARQuiver:
     _opaque_count: int = 0
 
     def find_vertex(self, m: GradedModule) -> str | None:
-        sw = sorted(m.weights)
         for name, v in self.vertices.items():
-            if v.module.dim == m.dim and sorted(v.module.weights) == sw \
-                    and is_isomorphic(v.module, m) is not None:
+            if is_isomorphic(v.module, m) is not None:
                 return name
         return None
 
@@ -324,10 +319,8 @@ def enumerate_degree_candidates(p: int, d: int
             return
         if [mult for _, mult in decompose(m)] != [1]:
             return  # e.g. V(sp + p - 1) splits into Steinberg shifts
-        for _, other in out:
-            if other.dim == m.dim and sorted(other.weights) == \
-                    sorted(m.weights) and is_isomorphic(other, m) is not None:
-                return
+        if any(is_isomorphic(other, m) is not None for _, other in out):
+            return
         out.append((lab, m))
 
     for e in range(d + 1):
@@ -432,7 +425,7 @@ def schur_block_quiver(p: int, d: int,
     cands = enumerate_degree_candidates(p, d)
     seed_idx = None
     for i, (_, m) in enumerate(cands):
-        if m.dim == seed_mod.dim and is_isomorphic(m, seed_mod) is not None:
+        if is_isomorphic(m, seed_mod) is not None:
             seed_idx = i
             break
     if seed_idx is None:
@@ -461,7 +454,6 @@ def schur_block_quiver(p: int, d: int,
             if v.projective_in_poly:
                 # arrows rad(P)-summands -> P; and P -> P/soc summands when
                 # P is also injective
-                from .grmod import quotient, radical, socle
                 r, _ = radical(v.module)
                 for piece, mult in decompose(r):
                     pn = q.find_vertex(piece)
@@ -516,15 +508,11 @@ def schur_block_quiver(p: int, d: int,
 def build_template(n: int, m: int) -> ARQuiver:
     """The translation quiver Z[A_n]/<tau^m>: n*m vertices."""
     q = ARQuiver()
-    from .grmod import AlgebraKind, GradedModule as GM
     dummy_alg = AlgebraKind("sl2r1", 3)
     for i in range(m):
         for j in range(1, n + 1):
             name = f"({i},{j})"
-            q.vertices[name] = VertexLabel(
-                name, None, GM(dummy_alg, (), {g: np.zeros((0, 0),
-                                                           dtype=np.int64)
-                                               for g in "EFH"}))
+            q.vertices[name] = VertexLabel(name, None, zero_module(dummy_alg))
     for i in range(m):
         for j in range(1, n):
             q.add_arrow(f"({i},{j})", f"({i},{j + 1})")

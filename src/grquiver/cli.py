@@ -1,8 +1,8 @@
 """Command-line surface: construct and inspect modules, apply functors,
 assemble AR quivers, and run the verification suites.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 internal error
+(an invariant violation or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import arquiver, constructions, homological, polynomial
-from .grmod import (GradedModule, contravariant_dual, shift, socle, top,
-                    validate, weyl_twist)
+from .grmod import (GradedModule, character_module, contravariant_dual,
+                    is_isomorphic, shift, socle, top, validate, weyl_twist)
 
 
 def _seed_from(args) -> int:
@@ -132,7 +132,6 @@ def cmd_borel(args, out) -> int:
 
 
 def _suite_core(p: int) -> list[tuple[str, bool]]:
-    from .grmod import is_isomorphic
     C = constructions
     checks = []
     ok = all(validate(C.weyl_hat(p, d)) == [] for d in range(4 * p + 1))
@@ -152,7 +151,6 @@ def _suite_core(p: int) -> list[tuple[str, bool]]:
 
 
 def _suite_schur(p: int) -> list[tuple[str, bool]]:
-    from .grmod import decompose, is_isomorphic
     C = constructions
     checks = []
     seq = homological.almost_split_sequence(shift(C.w_hat(p, p), (0, p)))
@@ -178,7 +176,6 @@ def _suite_borel(p: int) -> list[tuple[str, bool]]:
         reports = polynomial.quasi_hereditary_check(p, 1, d)
         checks.append((f"standard modules degree {d}",
                        all(r.passed for r in reports)))
-    from .grmod import character_module
     k0 = character_module(constructions.borel_algebra(p, 1), (0, 0))
     checks.append(("nakayama shift",
                    homological.nakayama(k0).weights == ((p - 1, 1 - p),)))
@@ -274,6 +271,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RuntimeError as e:
         sys.stderr.write(f"internal invariant violation: {e}\n")
+        return 3
+    except Exception as e:
+        msg = " ".join(str(e).split())
+        sys.stderr.write(f"internal error: {type(e).__name__}: {msg}\n")
         return 3
 
 

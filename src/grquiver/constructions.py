@@ -16,8 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
-                    character_module, contravariant_dual, direct_sum, shift,
-                    submodule_span, top, weyl_twist)
+                    character_module, contravariant_dual, decompose,
+                    direct_sum, is_isomorphic, shift, submodule_span, top,
+                    weyl_twist)
 
 
 def sl2_algebra(p: int) -> AlgebraKind:
@@ -131,8 +132,6 @@ def projective_indec(p: int, a: int) -> GradedModule:
     preserves projectivity. The result is cached, so its arrays are
     read-only.
     """
-    from .grmod import decompose, is_isomorphic  # deferred: cycle at import
-
     if not 0 <= a <= p - 1:
         raise ValueError(f"a must lie in [0, {p - 1}]")
     if a == p - 1:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -188,11 +187,6 @@ class ModuleMap:
 
     def is_surjective(self) -> bool:
         return self.source.field.rank(self.matrix) == self.target.dim
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (other.target must be self.source)."""
-        return ModuleMap(other.source, self.target,
-                         self.source.field.matmul(self.matrix, other.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +447,24 @@ def submodule_span(m: GradedModule,
     if not vecs or all(not np.any(v) for v in vecs):
         z = zero_module(m.algebra)
         return z, ModuleMap(z, m, np.zeros((m.dim, 0), dtype=np.int64))
-    # every column below is a weight vector, so its weight component is
-    # itself: the component basis is a basis of the span
-    basis = _weight_component_basis(m, np.stack(vecs, axis=1))
+    return _module_on_basis(m, _closure_basis(m, np.stack(vecs, axis=1)))
+
+
+def _closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
+    """Weight-vector basis of the smallest submodule containing the columns,
+    each column a weight vector."""
+    ff = m.field
+    # a weight vector is its own weight component, so the component basis
+    # is a basis of the span
+    basis = _weight_component_basis(m, vectors)
     while True:
         images = [basis]
         for g in m.algebra.generators():
             images.append(ff.matmul(m.action[g], basis))
         new_basis = _weight_component_basis(m, np.hstack(images))
         if new_basis.shape[1] == basis.shape[1]:
-            break
+            return basis
         basis = new_basis
-    return _module_on_basis(m, basis)
 
 
 def submodule_from_subspace(m: GradedModule,
@@ -509,102 +509,62 @@ def quotient(m: GradedModule,
 # radical / socle / top
 
 
-@lru_cache(maxsize=None)
-def _sl2_radical_operators(p: int) -> tuple:
-    """Homogeneous PBW expressions spanning the radical of restricted sl2.
+def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
+    """Columns spanning, weight by weight, the vectors that generate simple
+    submodules: the joint kernel of every X_i (borel), or of E and F^(a+1)
+    with a the eigenvalue of H on the weight space (sl2r1).
 
-    Returns a tuple of (i, j, k, coeff-vector-index) descriptions packed as
-    arrays: each element is a list of (coeff, i, j, k) monomial terms for
-    F^i H^j E^k; every element annihilates all simple modules.
+    A weight vector v with E v = 0 and H v = a v generates a quotient of the
+    baby Verma module Z(a) = span{F^i v}, and that quotient is the simple
+    L(a) exactly when F^(a+1) v = 0 (Jantzen, II.9).  a is read from H, not
+    from the weight: a shift by mu with mu0 != mu1 mod p keeps H.
     """
-    from . import constructions  # local import to avoid a cycle at load time
-
-    ff = _field_cache(p)
-    monos = [(i, j, k) for i in range(p) for j in range(p) for k in range(p)]
-    # stack the representations of all simples: rows = one matrix entry each
-    blocks = []
-    simples = [constructions.simple_hat(p, r) for r in range(p)]
-    for s in simples:
-        E, F, H = s.action["E"], s.action["F"], s.action["H"]
-        cols = []
-        for (i, j, k) in monos:
-            op = ff.matmul(ff.matpow(F, i),
-                           ff.matmul(ff.matpow(H, j), ff.matpow(E, k)))
-            cols.append(op.reshape(-1))
-        blocks.append(np.stack(cols, axis=1))
-    system = np.vstack(blocks)
-    kernel = ff.kernel_basis(system)
-    # homogenize by PBW-monomial weight (k - i) and collect terms
-    out = []
-    seen_spans: dict[int, list[np.ndarray]] = {}
-    for c in range(kernel.shape[1]):
-        vec = kernel[:, c]
-        by_wt: dict[int, np.ndarray] = {}
-        for t, (i, j, k) in enumerate(monos):
-            if vec[t]:
-                comp = by_wt.setdefault(k - i, np.zeros(len(monos),
-                                                        dtype=np.int64))
-                comp[t] = vec[t]
-        for wt, comp in by_wt.items():
-            seen_spans.setdefault(wt, []).append(comp)
-    for wt in sorted(seen_spans):
-        block = np.stack(seen_spans[wt], axis=1)
-        reduced = ff.column_space_basis(block)
-        for c in range(reduced.shape[1]):
-            terms = [(int(reduced[t, c]), *monos[t])
-                     for t in range(len(monos)) if reduced[t, c]]
-            out.append(tuple(terms))
-    return tuple(out)
-
-
-def _radical_operator_matrices(m: GradedModule) -> list[np.ndarray]:
-    """Matrices of a homogeneous spanning set of J(A) acting on m."""
     ff = m.field
-    if m.algebra.kind == "borel":
-        return [m.action[g] for g in m.algebra.generators()]
-    ops = []
-    E, F, H = m.action["E"], m.action["F"], m.action["H"]
-    Fp = [ff.matpow(F, i) for i in range(m.algebra.p)]
-    Hp = [ff.matpow(H, j) for j in range(m.algebra.p)]
-    Ep = [ff.matpow(E, k) for k in range(m.algebra.p)]
-    for terms in _sl2_radical_operators(m.algebra.p):
-        ops.append(ff.combine(
-            [coeff for coeff, *_ in terms],
-            [ff.matmul(Fp[i], ff.matmul(Hp[j], Ep[k]))
-             for _, i, j, k in terms]))
-    return ops
+    cols = []
+    for w in sorted(set(m.weights)):
+        idx = m.weight_indices(w)
+        if m.algebra.kind == "borel":
+            ops = [m.action[g][:, idx] for g in m.algebra.generators()]
+        else:
+            f_pow = m.action["F"][:, idx]
+            for _ in range(int(m.action["H"][idx[0], idx[0]])):
+                f_pow = ff.matmul(m.action["F"], f_pow)
+            ops = [m.action["E"][:, idx], f_pow]
+        kernel = ff.kernel_basis(np.vstack(ops))
+        block = ff.zeros(m.dim, kernel.shape[1])
+        block[idx] = kernel
+        cols.append(block)
+    return np.hstack(cols) if cols else ff.zeros(m.dim, 0)
+
+
+def _socle_span(m: GradedModule) -> np.ndarray:
+    """Columns spanning soc m, the submodule the highest weight vectors
+    generate."""
+    return _closure_basis(m, _highest_weight_vectors(m))
+
+
+def _radical_span(m: GradedModule) -> np.ndarray:
+    """Columns spanning rad m: the annihilator of soc(dual m) under the
+    pairing x, y -> x^T y, for which both dualities transpose the action."""
+    return m.field.kernel_basis(_socle_span(dual(m)).T)
 
 
 def radical(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """J(A)·m with its inclusion."""
-    if m.dim == 0:
-        z = zero_module(m.algebra)
-        return z, ModuleMap(z, m, np.zeros((0, 0), dtype=np.int64))
-    ops = _radical_operator_matrices(m)
-    if not ops:
-        z = zero_module(m.algebra)
-        return z, ModuleMap(z, m, np.zeros((m.dim, 0), dtype=np.int64))
-    images = np.hstack([op for op in ops])
-    return submodule_from_subspace(m, images)
+    return submodule_from_subspace(m, _radical_span(m))
 
 
 def socle(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
-    """Joint kernel of the radical operators, with inclusion."""
-    if m.dim == 0:
-        z = zero_module(m.algebra)
-        return z, ModuleMap(z, m, np.zeros((0, 0), dtype=np.int64))
-    ops = _radical_operator_matrices(m)
-    if not ops:
-        return _module_on_basis(m, m.field.eye(m.dim))
-    stacked = np.vstack(ops)
-    kernel = m.field.kernel_basis(stacked)
-    return submodule_from_subspace(m, kernel)
+    """The sum of the simple submodules, with its inclusion, on the
+    echelon basis of its span."""
+    ff = m.field
+    return submodule_from_subspace(
+        m, ff.kernel_basis(ff.kernel_basis(_socle_span(m).T).T))
 
 
 def top(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """m / rad(m) with its projection."""
-    _, incl = radical(m)
-    return quotient(m, incl.matrix)
+    return quotient(m, _radical_span(m))
 
 
 # ---------------------------------------------------------------------------
@@ -761,11 +721,10 @@ def _fitting_split(m: GradedModule, psi: np.ndarray
     return kernel, image
 
 
-def decompose(m: GradedModule, seed: int = 0
-              ) -> list[tuple[GradedModule, int]]:
+def decompose(m: GradedModule) -> list[tuple[GradedModule, int]]:
     """Indecomposable direct summands with multiplicities (Fitting splits)."""
     grouped: list[tuple[GradedModule, int]] = []
-    for piece, _ in _decompose_rec(m, seed):
+    for piece, _ in _decompose_rec(m):
         for t, (rep, mult) in enumerate(grouped):
             if is_isomorphic(piece, rep) is not None:
                 grouped[t] = (rep, mult + 1)
@@ -775,8 +734,8 @@ def decompose(m: GradedModule, seed: int = 0
     return grouped
 
 
-def _endo_candidates(m: GradedModule, basis: list[np.ndarray],
-                     seed: int) -> list[np.ndarray]:
+def _endo_candidates(m: GradedModule,
+                     basis: list[np.ndarray]) -> list[np.ndarray]:
     ff = m.field
     cands = list(basis)
     for i in range(len(basis)):
@@ -790,13 +749,13 @@ def _endo_candidates(m: GradedModule, basis: list[np.ndarray],
         for coeffs in np.ndindex(*([p] * k)):
             cands.append(ff.combine(coeffs, stacked))
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         for _ in range(64):
             cands.append(ff.combine(rng.integers(0, p, size=k), stacked))
     return cands
 
 
-def _decompose_rec(m: GradedModule, seed: int = 0
+def _decompose_rec(m: GradedModule
                    ) -> list[tuple[GradedModule, np.ndarray]]:
     """Indecomposable summands of m, each with its inclusion matrix into m;
     together the inclusions form an invertible matrix."""
@@ -806,7 +765,7 @@ def _decompose_rec(m: GradedModule, seed: int = 0
 
     def included(incl: np.ndarray, sub: GradedModule):
         return [(piece, ff.matmul(incl, j))
-                for piece, j in _decompose_rec(sub, seed)]
+                for piece, j in _decompose_rec(sub)]
 
     # cheap first split: weight-degree blocks are always direct summands
     by_deg = degree_decompose(m)
@@ -817,7 +776,7 @@ def _decompose_rec(m: GradedModule, seed: int = 0
     basis = hom_space(m, m)
     if len(basis) == 1 or _is_local(m, basis):
         return [(m, ff.eye(m.dim))]
-    for phi in _endo_candidates(m, basis, seed):
+    for phi in _endo_candidates(m, basis):
         for c in range(ff.p):
             psi = (phi - c * ff.eye(m.dim)) % ff.p
             split = _fitting_split(m, psi)

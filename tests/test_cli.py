@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from grquiver import cli
 from grquiver.cli import main
 
 
@@ -149,3 +150,16 @@ class TestInputErrors:
         # V(5) splits at p=3 since 5 = p - 1 mod p
         err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d", "5")
         assert "V(5)" in err and "--seed-label" in err
+
+
+class TestInternalErrors:
+    """Any unexpected exception exits 3 with one `internal error:` line."""
+
+    def test_assertion_error_exits_3(self, capsys, monkeypatch):
+        def broken(m):
+            raise AssertionError("forced\nfailure")
+        monkeypatch.setitem(cli._FUNCTORS, "tau", broken)
+        code = main(["--p", "3", "functor", "tau", "W(3)"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "internal error: AssertionError: forced failure\n"

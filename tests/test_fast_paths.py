@@ -9,6 +9,8 @@ import pytest
 
 import reference_gf as R
 import reference_iso as RI
+import reference_radical as RR
+import ungraded_oracle as UO
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import grmod as G
@@ -400,3 +402,31 @@ def test_projectivity_from_rank_varieties(candidates):
     assert all(fast == slow for fast, slow in verdicts)
     projective = sum(slow for _, slow in verdicts)
     assert 0 < projective < len(verdicts)
+
+
+def radical_inputs(candidates):
+    """The projectivity inputs, and t of each candidate shifted by (-1, 0),
+    on whose weight spaces H's eigenvalue differs from lam0 - lam1."""
+    yield from projectivity_inputs(candidates)
+    for mods in candidates.values():
+        for m in mods:
+            yield polynomial.t_poly(G.shift(m, (-1, 0)))[0]
+
+
+def test_radical_and_socle_against_pbw_operators(candidates):
+    off_weight = 0
+    for m in radical_inputs(candidates):
+        soc, incl = socle(m)
+        soc_ref, incl_ref = RR.socle(m)
+        assert soc.to_json() == soc_ref.to_json()
+        assert np.array_equal(incl.matrix, incl_ref.matrix)
+        rad = radical(m)[1].matrix
+        rad_ref = RR.radical(m)[1].matrix
+        assert rad.shape == rad_ref.shape
+        assert m.field.same_column_space(rad, rad_ref)
+        content = UO._top_content(m.algebra, m.action, m.dim)
+        assert m.dim - rad.shape[1] == sum(
+            mult * s_dim for mult, (s_dim, _)
+            in zip(content, UO._simples(m.algebra)))
+        off_weight += any("H does not act" in e for e in G.validate(m))
+    assert off_weight > 0

@@ -1,19 +1,27 @@
 """The JSON bytes of derived modules and maps, pinned by sha256.
 
-Covers, tau walks and almost split sequences depend on every choice the
-library makes (Hom bases, isomorphisms, kernels); a faster construction
-must reproduce them byte for byte.  The digests were recorded before the
-isomorphism test and the sl2 projective cover were rewritten; run this file
-as a script to print the current ones.
+Covers, tau walks, almost split sequences, socles and tops depend on every
+choice the library makes (Hom bases, isomorphisms, kernels); a faster
+construction must reproduce them byte for byte, and so must the demos'
+output.  The tau, cover and sequence digests of the sl2 families were
+recorded before the isomorphism test and the sl2 projective cover were
+rewritten; the socle, top, borel and demo digests before the radical and
+socle were rewritten.  Run this file as a script to print the current ones.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
+import runpy
 
 import pytest
 
+from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import homological as H
+from grquiver.grmod import character_module, socle, top
 
 WALK_DEGREES = [(3, d) for d in (3, 4, 6, 7, 9, 10)] + \
     [(5, d) for d in (5, 8, 10, 13)]
@@ -48,7 +56,46 @@ def almost_split_digest(m):
                   seq.right.to_json(), seq.inj.matrix, seq.surj.matrix)
 
 
+def socle_top_digest(p, d):
+    """Socle and top, with their maps, of every degree-d candidate."""
+    parts = []
+    for _, m in AQ.enumerate_degree_candidates(p, d):
+        for sub, f in (socle(m), top(m)):
+            parts += [sub.to_json(), f.matrix]
+    return digest(*parts)
+
+
+def outer_tensors(p):
+    """The outer tensors whose Betti sequences acceptance criterion 11
+    convolves."""
+    a1 = C.borel_algebra(p, 1)
+    a2 = C.borel_algebra(p, 1, offset=2)
+    z1 = C.borel_projective((0, 0), a1)
+    z2 = C.borel_projective((0, 0), a2)
+    pairs = [
+        (character_module(a1, (0, 0)), character_module(a2, (0, 0))),
+        (character_module(a1, (0, 0)), z2),
+        (z1, character_module(a2, (1, 1))),
+        (character_module(a1, (2, 1)), character_module(a2, (0, 2))),
+        (H.omega(character_module(a1, (0, 0))),
+         character_module(a2, (0, 0))),
+    ]
+    return [C.outer_tensor(m, n) for m, n in pairs]
+
+
+def demo_digest(name):
+    path = pathlib.Path(__file__).parent.parent / "demos" / f"{name}.py"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return digest(out.getvalue())
+
+
 FAMILIES = {"V": C.weyl_hat, "Vo": C.weyl_hat_dual}
+SOCLE_TOP_DEGREES = [(3, d) for d in range(3, 9)] + \
+    [(5, d) for d in range(5, 8)]
+BOREL_PRIMES = [3, 5]
+DEMOS = ["block_quiver_demo", "torsion_functor_demo", "borel_demo"]
 
 
 def current_digests() -> dict[str, str]:
@@ -60,6 +107,14 @@ def current_digests() -> dict[str, str]:
             m = build(p, d)
             out[f"cover {fam}({d}) p={p}"] = cover_digest(m)
             out[f"ass {fam}({d}) p={p}"] = almost_split_digest(m)
+    for p, d in SOCLE_TOP_DEGREES:
+        out[f"socle+top degree {d} p={p}"] = socle_top_digest(p, d)
+    for p in BOREL_PRIMES:
+        for i, m in enumerate(outer_tensors(p)):
+            out[f"cover outer{i} p={p}"] = cover_digest(m)
+            out[f"ass outer{i} p={p}"] = almost_split_digest(m)
+    for name in DEMOS:
+        out[f"demo {name}"] = demo_digest(name)
     return out
 
 
@@ -124,6 +179,38 @@ PINNED = {
     "ass V(13) p=5": "c5d6531bd1368f88628f7af4ae19e3955c8b75666f6fc039995227effefc8b02",
     "cover Vo(13) p=5": "d4b5c666dda49fc8fbc6fb66339bbce4ee7f208f7b0264c831df53f3db279c95",
     "ass Vo(13) p=5": "ccbdeb7e901401258d47f9c4aa88e24474f3d040c62e1199e0949843a992e39f",
+    "socle+top degree 3 p=3": "994c075ffe1e12fbd785532ddb6e6f48a771ec0d5aa30d3d804aa4e61492ffe3",
+    "socle+top degree 4 p=3": "da6138f3d5a0f412220514465b87f571fab594619b08aec5356008e0583b977a",
+    "socle+top degree 5 p=3": "3b03167d6bbbae2446556683dd6dcdba775ce278664e1eb6039b4b15de75a28e",
+    "socle+top degree 6 p=3": "10acab15250d1a3660d7811819b918af8948dcbfed1411dcada55fd06cb100a1",
+    "socle+top degree 7 p=3": "d9ab53045845e243df271b6cda064acc7b452e85ba44efd00d78f79c8a41691a",
+    "socle+top degree 8 p=3": "37be15f14e4f178f21af6a50e5526da2bfc96647f5adf425a29c820f0c13f4ca",
+    "socle+top degree 5 p=5": "dd8c5f0defab5ca7d029fcb53c25fb69ff96856f738b7216dcbb0b86e78c70fd",
+    "socle+top degree 6 p=5": "a54c233311c9be557b02dee088dcdcb36a8d9dfda6d03cc9ef9b88624c5fff39",
+    "socle+top degree 7 p=5": "d3b1de488de2fb0ef001189d760a033adff9fe149784406a9a4919d506695d08",
+    "cover outer0 p=3": "1a8886bfb751aecd8114f054f718abe343d16d519d233810c01fed51755bb098",
+    "ass outer0 p=3": "f26e144908d328b7e5c85501dc82c809752411997c060418bc566cd07e8c3d70",
+    "cover outer1 p=3": "6a1e4e95ae90db1e4ed925b6b66bd2663b10eb0bff673ee0c53fac70ea0e1684",
+    "ass outer1 p=3": "f2e8d9c15aeb947fe3c5b66d3b3527f0a4ec6a1e47539154de51b4ae3b2e05e5",
+    "cover outer2 p=3": "2a712d144b281fea08af5af91a4fc2db9b8063e3fb4b90a167116f0a3e56ddd8",
+    "ass outer2 p=3": "263571b8a0aea4464d07677651b53ba5cf130207409d78b693d7817957b406de",
+    "cover outer3 p=3": "bacfd2ff69fe1a2515a900ccf4952593a638ee5d6e757575680fa03cec62fc4d",
+    "ass outer3 p=3": "4c4f5062aa854f67720026fda9a76b4fce5b66b894231883812e8de4d2d5d86f",
+    "cover outer4 p=3": "07cfa969f555b03e101878613bd981457f4b7308dcf9e0597adecd71c215c8c8",
+    "ass outer4 p=3": "2152070309e006f5544fc36d790fdd78bbbb19d72b452c71a430f390109c9bce",
+    "cover outer0 p=5": "88b7396c7f3c15467b9009ea435d04979a5a2bfc4a66857f3fbecbbfa5959c13",
+    "ass outer0 p=5": "4fbf930698a75c58b083ede962e94c4f5ce50f74d4eae5df73a205978e98d8b5",
+    "cover outer1 p=5": "21bf45bbeae23c3b4345e523cb2094ad5ba267daa8b705a39051374a301b8fa7",
+    "ass outer1 p=5": "6d7b13f6656c40b5b612d54d18833ca49857d7c8f90f0bf73f4b702016da3f7b",
+    "cover outer2 p=5": "b94d10dd6d2c39eb9768b5d7f3b7259b15cd484f5a484ba3c6d0293270a6abad",
+    "ass outer2 p=5": "a0e22dfa5fd602ced1ddad451236ea3f6ad2eb1052d2ed3d6864550a517b6a48",
+    "cover outer3 p=5": "0a446bb904d47e0bd9c2425b25ce9c7257b81ed0bcfc7af626468d797a08eeec",
+    "ass outer3 p=5": "d50f23699d420c28ecd3dd875ec9fdd1bc11da6f714c157329133602bb0a365d",
+    "cover outer4 p=5": "dbbbe812a6c33747e822e85a7d20b8a279a22a074ebf6925145828a1b782f49d",
+    "ass outer4 p=5": "adb533fcc5286a36633dfb0aa39e4f70d2b6a3616b30935d6744abe52020c200",
+    "demo block_quiver_demo": "5f4d65f674cb3e42a6bd1a9fce40f8a60396607debc754ad6c9cd9188ff6308c",
+    "demo torsion_functor_demo": "f132540eb757519d56242b7bb1f49efac66abc30ff8138e53d58d784ae14bfa4",
+    "demo borel_demo": "0b81c6a34780245ce6f58451f88d1ab4870b15c9c1c84968eca68c8ffe3e76d6",
 }
 
 
@@ -140,6 +227,23 @@ def test_covers_and_almost_split_sequences(p, d):
         m = build(p, d)
         assert cover_digest(m) == PINNED[f"cover {fam}({d}) p={p}"]
         assert almost_split_digest(m) == PINNED[f"ass {fam}({d}) p={p}"]
+
+
+@pytest.mark.parametrize("p,d", SOCLE_TOP_DEGREES, ids=lambda v: str(v))
+def test_socles_and_tops_of_candidates(p, d):
+    assert socle_top_digest(p, d) == PINNED[f"socle+top degree {d} p={p}"]
+
+
+@pytest.mark.parametrize("p", BOREL_PRIMES)
+def test_borel_covers_and_almost_split_sequences(p):
+    for i, m in enumerate(outer_tensors(p)):
+        assert cover_digest(m) == PINNED[f"cover outer{i} p={p}"]
+        assert almost_split_digest(m) == PINNED[f"ass outer{i} p={p}"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output(name):
+    assert demo_digest(name) == PINNED[f"demo {name}"]
 
 
 if __name__ == "__main__":
