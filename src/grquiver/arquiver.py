@@ -4,14 +4,14 @@ quivers Z[A_n]/<tau^m>, symmetry and shift-equivalence reports, DOT output."""
 
 from __future__ import annotations
 
-import json
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import constructions, homological, polynomial
 from .constructions import FamilyLabel
 from .grmod import (AlgebraKind, GradedModule, contravariant_dual, decompose,
                     hom_space, is_isomorphic, quotient, radical, shift, socle,
-                    weight_degree, zero_module)
+                    validate, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +404,6 @@ def count_non_semisimple_blocks(p: int, d: int) -> int:
     return sum(0 if block_is_semisimple(cands, b) else 1 for b in blocks)
 
 
-def _ext_injective_in_poly(v: GradedModule) -> bool:
-    """Dual criterion: v is Ext-injective iff v^o is Ext-projective."""
-    return polynomial.ext_projective_in_poly(contravariant_dual(v))
-
-
 def schur_block_quiver(p: int, d: int,
                        block_seed: FamilyLabel | str) -> ARQuiver:
     """AR quiver of the block of the degree-d polynomial category
@@ -416,6 +411,9 @@ def schur_block_quiver(p: int, d: int,
     if isinstance(block_seed, str):
         block_seed = constructions.parse_label(block_seed)
     seed_mod = block_seed.build(p)
+    errs = validate(seed_mod)
+    if errs:
+        raise ValueError(f"seed {block_seed} is not a G1T-module: {errs[0]}")
     verdict = polynomial.is_polynomial(seed_mod)
     if not verdict.is_polynomial or verdict.degree != d:
         raise ValueError("seed is not polynomial of the requested degree")
@@ -423,81 +421,52 @@ def schur_block_quiver(p: int, d: int,
         raise ValueError(f"seed {block_seed} is decomposable; choose an "
                          "indecomposable seed with --seed-label")
     cands = enumerate_degree_candidates(p, d)
-    seed_idx = None
-    for i, (_, m) in enumerate(cands):
-        if is_isomorphic(m, seed_mod) is not None:
-            seed_idx = i
-            break
+    seed_idx = next((i for i, (_, m) in enumerate(cands)
+                     if is_isomorphic(m, seed_mod) is not None), None)
     if seed_idx is None:
         raise RuntimeError("seed not found among enumerated candidates")
-    blocks = partition_blocks(cands)
-    block = next(b for b in blocks if seed_idx in b)
+    block = next(b for b in partition_blocks(cands) if seed_idx in b)
 
     q = ARQuiver()
-    names = []
     for i in sorted(block, key=lambda i: str(cands[i][0])):
         lab, m = cands[i]
-        name = str(lab)
-        simple = lab.family == "L"
-        q.vertices[name] = VertexLabel(name, lab, m, simple=simple,
-                                       ql=lab.ql(p))
-        names.append(name)
+        # m is Ext-injective iff its contravariant dual is Ext-projective
+        q.vertices[str(lab)] = VertexLabel(
+            str(lab), lab, m, simple=lab.family == "L", ql=lab.ql(p),
+            projective_in_poly=polynomial.ext_projective_in_poly(m),
+            injective_in_poly=polynomial.ext_projective_in_poly(
+                contravariant_dual(m)))
 
-    for _round in range(3):
-        new_modules: list[GradedModule] = []
-        for name in list(q.vertices):
-            v = q.vertices[name]
-            v.projective_in_poly = polynomial.ext_projective_in_poly(v.module)
-            v.injective_in_poly = _ext_injective_in_poly(v.module)
-        for name in list(q.vertices):
-            v = q.vertices[name]
-            if v.projective_in_poly:
-                # arrows rad(P)-summands -> P; and P -> P/soc summands when
-                # P is also injective
-                r, _ = radical(v.module)
-                for piece, mult in decompose(r):
-                    pn = q.find_vertex(piece)
-                    if pn is None:
-                        new_modules.append(piece)
-                        continue
-                    q.add_arrow(pn, name, mult)
-                if v.injective_in_poly:
-                    s, sincl = socle(v.module)
-                    qs, _ = quotient(v.module, sincl.matrix)
-                    for piece, mult in decompose(qs):
-                        pn = q.find_vertex(piece)
-                        if pn is None:
-                            new_modules.append(piece)
-                            continue
-                        q.add_arrow(name, pn, mult)
-            else:
-                seq = polynomial.almost_split_in_poly(v.module)
-                ln = q.find_vertex(seq.left)
-                if ln is None:
-                    new_modules.append(seq.left)
-                    continue
-                q.tau[name] = ln
-                mids = []
-                for piece, mult in decompose(seq.middle):
-                    pn = q.find_vertex(piece)
-                    if pn is None:
-                        new_modules.append(piece)
-                        continue
-                    q.add_arrow(pn, name, mult)
-                    q.add_arrow(ln, pn, mult)
-                    mids.extend([pn] * mult)
-                q.sequences.append((ln, tuple(sorted(mids)), name))
-        if not new_modules:
-            break
-        for m in new_modules:
-            if q.find_vertex(m) is None:
-                q.add_module(m)
-        q.arrows.clear()
-        q.tau.clear()
-        q.sequences.clear()
-    else:
-        raise RuntimeError("block closure did not stabilize; diagnostic: "
-                           + ", ".join(sorted(q.vertices)))
+    def vertex(piece: GradedModule) -> str:
+        found = q.find_vertex(piece)
+        if found is None:  # the enumeration lists every indecomposable
+            raise RuntimeError(f"block closure: piece of dim {piece.dim} and "
+                               f"support {sorted(piece.support())} not in block")
+        return found
+
+    for name, v in q.vertices.items():
+        if v.projective_in_poly:
+            # arrows rad(P)-summands -> P; and P -> P/soc summands when P is
+            # also injective
+            r, _ = radical(v.module)
+            for piece, mult in decompose(r):
+                q.add_arrow(vertex(piece), name, mult)
+            if v.injective_in_poly:
+                _, sincl = socle(v.module)
+                qs, _ = quotient(v.module, sincl.matrix)
+                for piece, mult in decompose(qs):
+                    q.add_arrow(name, vertex(piece), mult)
+        else:
+            seq = polynomial.almost_split_in_poly(v.module)
+            ln = vertex(seq.left)
+            q.tau[name] = ln
+            mids = []
+            for piece, mult in decompose(seq.middle):
+                pn = vertex(piece)
+                q.add_arrow(pn, name, mult)
+                q.add_arrow(ln, pn, mult)
+                mids.extend([pn] * mult)
+            q.sequences.append((ln, tuple(sorted(mids)), name))
     return q
 
 
@@ -513,82 +482,109 @@ def build_template(n: int, m: int) -> ARQuiver:
         for j in range(1, n + 1):
             name = f"({i},{j})"
             q.vertices[name] = VertexLabel(name, None, zero_module(dummy_alg))
-    for i in range(m):
-        for j in range(1, n):
-            q.add_arrow(f"({i},{j})", f"({i},{j + 1})")
-            q.add_arrow(f"({i},{j + 1})", f"({(i - 1) % m},{j})")
-    for i in range(m):
-        for j in range(1, n + 1):
-            q.tau[f"({i},{j})"] = f"({(i + 1) % m},{j})"
+            q.tau[name] = f"({(i + 1) % m},{j})"
+            if j < n:
+                q.add_arrow(name, f"({i},{j + 1})")
+                q.add_arrow(f"({i},{j + 1})", f"({(i - 1) % m},{j})")
     return q
 
 
 def template_match(q: ARQuiver, n: int, m: int) -> dict | None:
-    """Directed-graph isomorphism onto Z[A_n]/<tau^m> compatible with tau
-    (where tau is defined on q); None when there is none."""
-    t = build_template(n, m)
-    if len(q.vertices) != len(t.vertices):
+    """Isomorphism of translation quivers onto Z[A_n]/<tau^m>, compatible
+    with tau where q defines it, as a map to `build_template` names; None
+    when there is none.
+
+    Template vertex (i, j), i mod m and 1 <= j <= n, has arrows to (i, j+1)
+    and (i-1, j-1) and tau (i, j) = (i+1, j).  The coordinates are read off
+    q (Riedtmann, Comment. Math. Helv. 55, 1980) from a boundary vertex (one
+    arrow in and one out at most) put at (0, 1), which loses nothing: the
+    rotations and the reflection (i, j) -> (i-j, n+1-j) reach every boundary
+    vertex.  t = j - 2i - 1 (mod 2m) rises by one along arrows and falls by
+    two along tau.  The distance h to the boundary gives j in {1+h, n-h}; a
+    2-colouring picks the side: an arrow keeps it unless its ends have equal
+    h, tau keeps it, vertices with equal (t, h) differ, and the middle row
+    (2h = n-1) has none.  A last pass checks every vertex, arrow and tau
+    entry, so no wrong reading can match.
+    """
+    if len(q.vertices) != n * m or len(q.arrows) != 2 * (n - 1) * m \
+            or any(mult != 1 for mult in q.arrows.values()):
         return None
-    if len(q.arrows) != len(t.arrows) or \
-            sorted(q.arrows.values()) != sorted(t.arrows.values()):
+    outs: dict[str, list[str]] = {v: [] for v in q.vertices}
+    ins: dict[str, list[str]] = {v: [] for v in q.vertices}
+    for s, w in q.arrows:
+        outs[s].append(w)
+        ins[w].append(s)
+    # vertices that are not tau-images first: with n = 1 (no arrows) the
+    # tau-paths from them are laid end to end
+    images = set(q.tau.values())
+    boundary = sorted((v for v in outs if len(outs[v]) <= 1
+                       and len(ins[v]) <= 1), key=lambda v: (v in images, v))
+    h = dict.fromkeys(boundary, 0)
+    queue = deque(boundary)
+    while queue:
+        v = queue.popleft()
+        for w in outs[v] + ins[v]:
+            if w not in h:
+                h[w] = h[v] + 1
+                queue.append(w)
+    t = _potential([(s, w, 1) for s, w in q.arrows]
+                   + [(v, tv, -2) for v, tv in q.tau.items()],
+                   boundary, 2 * m, gap=-2)
+    if t is None or len(h) < len(outs):  # t is defined wherever h is
         return None
-    q_names = sorted(q.vertices)
-    t_names = sorted(t.vertices)
-    q_out = {v: sorted([w for (s, w) in q.arrows if s == v]) for v in q_names}
-    q_in = {v: sorted([s for (s, w) in q.arrows if w == v]) for v in q_names}
-    t_out = {v: {w for (s, w) in t.arrows if s == v} for v in t_names}
-    t_in = {v: {s for (s, w) in t.arrows if w == v} for v in t_names}
+    sided = {v for v in outs if 2 * h[v] != n - 1}
+    same_th: dict[tuple[int, int], list[str]] = {}
+    for v in sorted(sided):
+        same_th.setdefault((t[v], h[v]), []).append(v)
+    edges = [(s, w, int(h[s] == h[w])) for s, w in q.arrows] \
+        + [(v, tv, 0) for v, tv in q.tau.items()] \
+        + [(a, b, 1) for g in same_th.values() for a, b in zip(g, g[1:])]
+    # a part not linked to the anchor may take either side
+    upper = _potential([e for e in edges if {e[0], e[1]} <= sided],
+                       boundary[:1] + sorted(sided), 2)
+    if upper is None:
+        return None
+    j = {v: n - h[v] if upper.get(v) else 1 + h[v] for v in outs}
+    coords = {v: ((j[v] - 1 - t[v]) % (2 * m) // 2, j[v]) for v in outs}
+    if sorted(coords.values()) != [
+            (i, j) for i in range(m) for j in range(1, n + 1)]:
+        return None
+    for s, w in q.arrows:
+        i, j = coords[s]
+        if coords[w] not in ((i, j + 1), ((i - 1) % m, j - 1)):
+            return None
+    for v, tv in q.tau.items():
+        i, j = coords[v]
+        if coords[tv] != ((i + 1) % m, j):
+            return None
+    return {v: f"({i},{j})" for v, (i, j) in coords.items()}
 
-    assign: dict[str, str] = {}
-    used: set[str] = set()
 
-    def consistent(v: str, tv: str) -> bool:
-        if len(q_out[v]) > len(t_out[tv]) or len(q_in[v]) > len(t_in[tv]):
-            return False
-        for w in q_out[v]:
-            if w in assign and assign[w] not in t_out[tv]:
-                return False
-        for w in q_in[v]:
-            if w in assign and assign[w] not in t_in[tv]:
-                return False
-        for s, im in assign.items():
-            if v in q_out[s] and tv not in t_out[im]:
-                return False
-            if v in q_in[s] and tv not in t_in[im]:
-                return False
-        tq = q.tau.get(v)
-        if tq is not None and tq in assign and \
-                assign[tq] != t.tau[tv]:
-            return False
-        for s, im in assign.items():
-            if q.tau.get(s) == v and t.tau[im] != tv:
-                return False
-        return True
-
-    order = sorted(q_names, key=lambda v: -(len(q_out[v]) + len(q_in[v])))
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            # final check: arrow counts must coincide exactly
-            mapped = {(assign[s], assign[w]) for (s, w) in q.arrows}
-            return mapped == set(t.arrows)
-        v = order[k]
-        for tv in t_names:
-            if tv in used:
-                continue
-            if not consistent(v, tv):
-                continue
-            assign[v] = tv
-            used.add(tv)
-            if backtrack(k + 1):
-                return True
-            del assign[v]
-            used.discard(tv)
-        return False
-
-    if backtrack(0):
-        return dict(assign)
-    return None
+def _potential(edges: list[tuple[str, str, int]], roots: list[str],
+               modulus: int, gap: int = 0) -> dict | None:
+    """Values x with x[b] = x[a] + k (mod modulus) on every edge (a, b, k),
+    spread from each root in turn not yet reached, which starts at gap times
+    the number of values so far; None on a contradiction."""
+    adj: dict[str, list[tuple[str, int]]] = {}
+    for a, b, k in edges:
+        adj.setdefault(a, []).append((b, k))
+        adj.setdefault(b, []).append((a, -k))
+    x: dict[str, int] = {}
+    for root in roots:
+        if root in x:
+            continue
+        x[root] = gap * len(x) % modulus
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, k in adj.get(a, []):
+                y = (x[a] + k) % modulus
+                if b not in x:
+                    x[b] = y
+                    stack.append(b)
+                elif x[b] != y:
+                    return None
+    return x
 
 
 # ---------------------------------------------------------------------------

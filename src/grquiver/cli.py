@@ -25,19 +25,20 @@ def _seed_from(args) -> int:
 
 
 def _load_module(source: str, p: int) -> GradedModule:
-    """The module of a JSON file, checked against --p and validated, or of
-    a family label; bad input raises ValueError."""
+    """The module of a JSON file, checked against --p, or of a family label;
+    validated either way, and bad input raises ValueError."""
     if not os.path.exists(source):
-        return constructions.parse_label(source).build(p)
-    try:
-        with open(source) as fh:
-            m = GradedModule.from_json(fh.read())
-    except (OSError, KeyError, IndexError, TypeError, ValueError) as e:
-        raise ValueError(f"{source}: malformed module file "
-                         f"({type(e).__name__}: {e})") from e
-    if m.algebra.p != p:
-        raise ValueError(f"{source}: module is over p={m.algebra.p}, "
-                         f"but --p is {p}")
+        m = constructions.parse_label(source).build(p)
+    else:
+        try:
+            with open(source) as fh:
+                m = GradedModule.from_json(fh.read())
+        except (OSError, KeyError, IndexError, TypeError, ValueError) as e:
+            raise ValueError(f"{source}: malformed module file "
+                             f"({type(e).__name__}: {e})") from e
+        if m.algebra.p != p:
+            raise ValueError(f"{source}: module is over p={m.algebra.p}, "
+                             f"but --p is {p}")
     errs = validate(m)
     if errs:
         raise ValueError(f"{source}: invalid module: " + "; ".join(errs))
@@ -100,8 +101,7 @@ def cmd_schur(args, out) -> int:
     q = arquiver.schur_block_quiver(args.p, args.d, args.seed_label)
     if args.drop_projective_injective:
         s = q.stable_part()
-        dd, aa = divmod(args.d, args.p)
-        n = 2 * dd + 1
+        n = 2 * (args.d // args.p) + 1
         match = arquiver.template_match(s, n, n)
         out.write(s.to_dot() if args.emit == "dot"
                   else json.dumps(s.to_json_dict()) + "\n")

@@ -10,15 +10,14 @@ products.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
-                    character_module, contravariant_dual, decompose,
-                    direct_sum, is_isomorphic, shift, submodule_span, top,
-                    weyl_twist)
+from .grmod import (AlgebraKind, GradedModule, Weight, character_module,
+                    contravariant_dual, decompose, direct_sum, is_isomorphic,
+                    shift, submodule_span, top, weyl_twist)
 
 
 def sl2_algebra(p: int) -> AlgebraKind:

@@ -9,7 +9,7 @@ form, which makes homogeneity checks syntactic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -510,9 +510,9 @@ def quotient(m: GradedModule,
 
 
 def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
-    """Columns spanning, weight by weight, the vectors that generate simple
-    submodules: the joint kernel of every X_i (borel), or of E and F^(a+1)
-    with a the eigenvalue of H on the weight space (sl2r1).
+    """Columns spanning, weight by weight, the vectors of an sl2r1-module
+    that generate simple submodules: the joint kernel of E and F^(a+1) with
+    a the eigenvalue of H on the weight space.
 
     A weight vector v with E v = 0 and H v = a v generates a quotient of the
     baby Verma module Z(a) = span{F^i v}, and that quotient is the simple
@@ -523,14 +523,10 @@ def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
     cols = []
     for w in sorted(set(m.weights)):
         idx = m.weight_indices(w)
-        if m.algebra.kind == "borel":
-            ops = [m.action[g][:, idx] for g in m.algebra.generators()]
-        else:
-            f_pow = m.action["F"][:, idx]
-            for _ in range(int(m.action["H"][idx[0], idx[0]])):
-                f_pow = ff.matmul(m.action["F"], f_pow)
-            ops = [m.action["E"][:, idx], f_pow]
-        kernel = ff.kernel_basis(np.vstack(ops))
+        f_pow = m.action["F"][:, idx]
+        for _ in range(int(m.action["H"][idx[0], idx[0]])):
+            f_pow = ff.matmul(m.action["F"], f_pow)
+        kernel = ff.kernel_basis(np.vstack([m.action["E"][:, idx], f_pow]))
         block = ff.zeros(m.dim, kernel.shape[1])
         block[idx] = kernel
         cols.append(block)
@@ -538,8 +534,12 @@ def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
 
 
 def _socle_span(m: GradedModule) -> np.ndarray:
-    """Columns spanning soc m, the submodule the highest weight vectors
-    generate."""
+    """Columns spanning soc m: the joint kernel of the X_i (borel, whose
+    simples are the characters), or the submodule the highest weight vectors
+    generate (sl2r1)."""
+    if m.algebra.kind == "borel":
+        return m.field.kernel_basis(
+            np.vstack([m.action[g] for g in m.algebra.generators()]))
     return _closure_basis(m, _highest_weight_vectors(m))
 
 

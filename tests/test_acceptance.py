@@ -155,14 +155,14 @@ def test_criterion_06_induced_polynomial_sequences():
 
 
 def test_criterion_07_block_templates():
-    q3 = AQ.schur_block_quiver(P, 3, "V(3)").stable_part()
-    assert len(q3.vertices) == 9
-    assert AQ.template_match(q3, 3, 3) is not None
-    q6 = AQ.schur_block_quiver(P, 6, "V(6)").stable_part()
-    assert len(q6.vertices) == 25
-    assert AQ.template_match(q6, 5, 5) is not None
-    ok(7, "stable degree-3 block = Z[A_3]/tau^3 (9 vertices), "
-          "degree-6 block = Z[A_5]/tau^5 (25 vertices)")
+    for p, s_max in ((P, 4), (5, 3)):
+        for s in range(1, s_max + 1):
+            d, n = s * p, 2 * s + 1
+            q = AQ.schur_block_quiver(p, d, f"V({d})").stable_part()
+            assert len(q.vertices) == n * n, f"p={p} d={d}"
+            assert AQ.template_match(q, n, n) is not None, f"p={p} d={d}"
+    ok(7, "stable degree-sp block = Z[A_{2s+1}]/tau^{2s+1} with (2s+1)^2 "
+          "vertices, for s = 1..4 at p=3 and s = 1..3 at p=5")
 
 
 def test_criterion_08_morita_and_block_count():

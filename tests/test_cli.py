@@ -146,6 +146,17 @@ class TestInputErrors:
         err = self.assert_usage_error(capsys, "--p", "3", "module", f)
         assert "p=5" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "3", "module", "V(4)+(1,0)"],
+        ["--p", "3", "functor", "tau", "V(4)+(1,0)"],
+        ["--p", "5", "schur", "--d", "5", "--seed-label", "L(0)+(1,4)"],
+    ], ids=["module", "functor", "schur-seed"])
+    def test_label_shifted_off_g1t(self, capsys, argv):
+        # a shift by mu with mu0 != mu1 mod p leaves H acting as before, so
+        # H no longer acts as (a-b) mod p
+        err = self.assert_usage_error(capsys, *argv)
+        assert "H does not act as (a-b) mod p" in err
+
     def test_decomposable_schur_seed(self, capsys):
         # V(5) splits at p=3 since 5 = p - 1 mod p
         err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d", "5")

@@ -3,10 +3,12 @@
 Covers, tau walks, almost split sequences, socles and tops depend on every
 choice the library makes (Hom bases, isomorphisms, kernels); a faster
 construction must reproduce them byte for byte, and so must the demos'
-output.  The tau, cover and sequence digests of the sl2 families were
-recorded before the isomorphism test and the sl2 projective cover were
-rewritten; the socle, top, borel and demo digests before the radical and
-socle were rewritten.  Run this file as a script to print the current ones.
+output and the block quiver `grq schur` prints.  The tau, cover and
+sequence digests of the sl2 families were recorded before the isomorphism
+test and the sl2 projective cover were rewritten; the socle, top, borel and
+demo digests before the radical and socle were rewritten; the schur digest
+before the template matcher's search was replaced.  Run this file as a
+script to print the current ones.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import runpy
 import pytest
 
 from grquiver import arquiver as AQ
+from grquiver import cli
 from grquiver import constructions as C
 from grquiver import homological as H
 from grquiver.grmod import character_module, socle, top
@@ -91,11 +94,20 @@ def demo_digest(name):
     return digest(out.getvalue())
 
 
+def cli_digest(command):
+    """sha256 of the stdout of `grq command`, as sha256sum prints it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(command.split()) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 FAMILIES = {"V": C.weyl_hat, "Vo": C.weyl_hat_dual}
 SOCLE_TOP_DEGREES = [(3, d) for d in range(3, 9)] + \
     [(5, d) for d in range(5, 8)]
 BOREL_PRIMES = [3, 5]
 DEMOS = ["block_quiver_demo", "torsion_functor_demo", "borel_demo"]
+CLI_RUNS = ["--p 3 --seed 0 schur --d 9 --drop-projective-injective"]
 
 
 def current_digests() -> dict[str, str]:
@@ -115,6 +127,8 @@ def current_digests() -> dict[str, str]:
             out[f"ass outer{i} p={p}"] = almost_split_digest(m)
     for name in DEMOS:
         out[f"demo {name}"] = demo_digest(name)
+    for command in CLI_RUNS:
+        out[f"grq {command}"] = cli_digest(command)
     return out
 
 
@@ -211,6 +225,7 @@ PINNED = {
     "demo block_quiver_demo": "5f4d65f674cb3e42a6bd1a9fce40f8a60396607debc754ad6c9cd9188ff6308c",
     "demo torsion_functor_demo": "f132540eb757519d56242b7bb1f49efac66abc30ff8138e53d58d784ae14bfa4",
     "demo borel_demo": "0b81c6a34780245ce6f58451f88d1ab4870b15c9c1c84968eca68c8ffe3e76d6",
+    "grq --p 3 --seed 0 schur --d 9 --drop-projective-injective": "b1f84d12d9444d167501e3c29c1b4f828c8bafd6caf52bfdd662e8cfe58e5b9f",
 }
 
 
@@ -244,6 +259,11 @@ def test_borel_covers_and_almost_split_sequences(p):
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_output(name):
     assert demo_digest(name) == PINNED[f"demo {name}"]
+
+
+@pytest.mark.parametrize("command", CLI_RUNS)
+def test_cli_output(command):
+    assert cli_digest(command) == PINNED[f"grq {command}"]
 
 
 if __name__ == "__main__":
