@@ -33,7 +33,7 @@ def _load_module(source: str, p: int) -> GradedModule:
         try:
             with open(source) as fh:
                 m = GradedModule.from_json(fh.read())
-        except (OSError, KeyError, IndexError, TypeError, ValueError) as e:
+        except (OSError, TypeError, ValueError) as e:
             raise ValueError(f"{source}: malformed module file "
                              f"({type(e).__name__}: {e})") from e
         if m.algebra.p != p:

@@ -100,9 +100,10 @@ class PrimeField:
     def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
         """Reduced row echelon form: the one elimination kernel.
 
-        Each pivot is the first nonzero entry below and right of the
-        previous one; its row clears the whole pivot column with one
-        outer-product update.
+        Columns are walked left to right; the first nonzero entry at or
+        below the current row is the pivot.  Only the other rows with a
+        nonzero in the pivot column are updated, which is few on graded
+        systems.  The RREF is unique, so the update order does not matter.
 
         Returns:
             (rref matrix, strictly increasing pivot column list, rank).
@@ -111,21 +112,23 @@ class PrimeField:
         a = self.reduce(m)
         rows, cols = a.shape
         pivots: list[int] = []
-        c = 0
-        for r in range(rows):
-            live = a[r:, c:].any(axis=0)
-            if not live.any():
+        r = 0
+        for c in range(cols):
+            if r == rows:
                 break
-            c += int(live.argmax())
-            i = r + int((a[r:, c] != 0).argmax())
+            below = a[r:, c].nonzero()[0]
+            if not below.size:
+                continue
+            i = r + int(below[0])
             if i != r:
                 a[[r, i]] = a[[i, r]]
             a[r, c:] = a[r, c:] * self._inv[a[r, c]] % p
-            f = a[:, c, None].copy()
-            f[r] = 0
-            a[:, c:] = (a[:, c:] - f * a[r, c:]) % p
+            hit = a[:, c].nonzero()[0]
+            if hit.size > 1:
+                hit = hit[hit != r]
+                a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
             pivots.append(c)
-            c += 1
+            r += 1
         return a, pivots, len(pivots)
 
     def rank(self, m: np.ndarray) -> int:

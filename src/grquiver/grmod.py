@@ -141,13 +141,32 @@ class GradedModule:
 
     @staticmethod
     def from_json_dict(d: dict) -> "GradedModule":
+        """The module of a to_json_dict() dict; malformed input raises
+        ValueError naming the field."""
+        def need(ok: bool, name: str, problem: str = "is missing") -> None:
+            if not ok:
+                raise ValueError(f"field {name!r} {problem}")
+        for key in ("algebra", "dim", "weights", "action"):
+            need(key in d, key)
         a = d["algebra"]
+        for key in ("kind", "p"):
+            need(key in a, f"algebra.{key}")
         kind = AlgebraKind(a["kind"], a["p"], a.get("r", 1),
                            a.get("offset", 1), a.get("raising", False))
-        weights = tuple((w[0], w[1]) for w in d["weights"])
+        weights = tuple(map(tuple, d["weights"]))
+        need(all(len(w) == 2 for w in weights), "weights", "has a non-pair")
         dim = d["dim"]
-        action = {g: np.array(m, dtype=np.int64).reshape(dim, dim)
+        need(dim == len(weights), "dim",
+             f"is {dim!r}, but there are {len(weights)} weights")
+        gens = kind.generators()
+        need(isinstance(d["action"], dict)
+             and sorted(d["action"]) == sorted(gens), "action",
+             f"does not have exactly the keys {gens}")
+        action = {g: np.array(m, dtype=np.int64)
                   for g, m in d["action"].items()}
+        for g, m in action.items():
+            need(m.shape == (dim, dim) or m.size == dim == 0, f"action.{g}",
+                 f"is not a {dim} x {dim} matrix")
         return GradedModule(kind, weights, action)
 
     @staticmethod

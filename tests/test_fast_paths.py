@@ -16,9 +16,11 @@ from grquiver import constructions as C
 from grquiver import grmod as G
 from grquiver import homological as H
 from grquiver import polynomial
+from grquiver.gf import PrimeField
 from grquiver.grmod import (decompose, direct_sum, homogenize_columns,
                             hom_space, is_isomorphic, quotient, radical,
-                            socle)
+                            socle, top)
+from test_pinned_bytes import outer_tensors
 
 
 def hom_space_loop(m, n):
@@ -167,6 +169,7 @@ def assert_same_basis(fast, slow):
 
 
 SLICES = [(3, d) for d in range(3, 9)] + [(5, d) for d in range(5, 8)]
+FIELDS = {p: PrimeField(p) for p in (3, 5)}
 
 
 @pytest.fixture(scope="module")
@@ -430,3 +433,34 @@ def test_radical_and_socle_against_pbw_operators(candidates):
             in zip(content, UO._simples(m.algebra)))
         off_weight += any("H does not act" in e for e in G.validate(m))
     assert off_weight > 0
+
+
+def test_rref_against_reference_loop(candidates, monkeypatch):
+    # every distinct matrix the library eliminates while computing End,
+    # covers, syzygies, tops, socles and (for the non-projectives) almost
+    # split sequences of the candidates and of the outer tensors of
+    # acceptance criterion 11
+    seen = {}
+    real = PrimeField.rref
+
+    def record(ff, m):
+        a = ff.reduce(m)
+        seen.setdefault((ff.p, a.shape, a.tobytes()), (ff.p, a))
+        return real(ff, m)
+    monkeypatch.setattr(PrimeField, "rref", record)
+    H._presentation.cache_clear()  # Omega must compute, not hit the cache
+    mods = [m for ms in candidates.values() for m in ms]
+    mods += outer_tensors(3) + outer_tensors(5)
+    for m in mods:
+        hom_space(m, m)
+        for build in (H.projective_cover, H.omega, top, socle):
+            build(m)
+        if not H.is_projective(m):
+            H.almost_split_sequence(m)
+    monkeypatch.undo()
+    assert len(seen) > 1000
+    for p, a in seen.values():
+        r, pivots, rank = FIELDS[p].rref(a)
+        r_ref, pivots_ref, rank_ref = R.rref(p, a)
+        assert r.dtype == r_ref.dtype and r.tobytes() == r_ref.tobytes()
+        assert (pivots, rank) == (pivots_ref, rank_ref)

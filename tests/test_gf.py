@@ -153,6 +153,47 @@ def matrices(draw, rows=None, cols=None):
     return p, (block(rows, inner) @ block(inner, cols)) % p
 
 
+@st.composite
+def block_diagonal(draw):
+    """(p, a): low-rank blocks on the diagonal, zero rows and zero columns
+    appended, then rows and columns permuted."""
+    p = draw(st.sampled_from([3, 5]))
+    a = np.zeros((0, 0), dtype=np.int64)
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(matrices())[1] % p
+        a = np.block([[a, np.zeros((a.shape[0], b.shape[1]), np.int64)],
+                      [np.zeros((b.shape[0], a.shape[1]), np.int64), b]])
+    a = np.pad(a, ((0, draw(st.integers(0, 3))), (0, draw(st.integers(0, 3)))))
+    rows = draw(st.permutations(range(a.shape[0])))
+    cols = draw(st.permutations(range(a.shape[1])))
+    return p, a[np.ix_(rows, cols)]
+
+
+@st.composite
+def one_per_column(draw):
+    """(p, a) with exactly one nonzero entry in each column."""
+    p = draw(st.sampled_from([3, 5]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(0, 10))
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for c in range(cols):
+        a[draw(st.integers(0, rows - 1)), c] = draw(st.integers(1, p - 1))
+    return p, a
+
+
+@st.composite
+def tall_or_wide(draw):
+    """(p, a) of shape >= 100 x 6 or 6 x >= 200, with a density of nonzero
+    entries from 0 (the zero matrix) to 1."""
+    p = draw(st.sampled_from([3, 5]))
+    shape = draw(st.sampled_from([(100, 6), (131, 6), (6, 200), (6, 257)]))
+    density = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return p, rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+
+
+SPARSE = st.one_of(block_diagonal(), one_per_column(), tall_or_wide())
+
+
 def assert_same(fast, slow):
     """Identical arrays (or both None)."""
     assert (fast is None) == (slow is None)
@@ -213,3 +254,26 @@ class TestAgainstReferenceLoop:
         with pytest.raises(OverflowError):
             F5._check_headroom(2 ** 59)
         F5._check_headroom(2 ** 59 - 1)
+
+    @given(SPARSE, st.integers(0, 3), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @example((3, np.zeros((100, 6), dtype=np.int64)), 1, False, 0)
+    @example((5, np.zeros((6, 200), dtype=np.int64)), 2, True, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_inputs(self, pa, k, consistent, seed):
+        """rref, kernel_basis and solve_matrix on the sparse shapes the
+        graded systems have: permuted block-diagonal matrices, one nonzero
+        per column, tall and wide."""
+        p, a = pa
+        ff = FIELDS[p]
+        r, pivots, rank = ff.rref(a)
+        r_ref, pivots_ref, rank_ref = R.rref(p, a)
+        assert_same(r, r_ref)
+        assert (pivots, rank) == (pivots_ref, rank_ref)
+        assert_same(ff.kernel_basis(a), R.kernel_basis(p, a))
+        rng = np.random.default_rng(seed)
+        if consistent:
+            b = ff.matmul(a, rng.integers(0, p, size=(a.shape[1], k)))
+        else:
+            b = rng.integers(0, p, size=(a.shape[0], k)).astype(np.int64)
+        assert_same(ff.solve_matrix(a, b), R.solve_matrix(p, a, b))

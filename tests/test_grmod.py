@@ -213,6 +213,47 @@ class TestSerialization:
         z = zero_module(C.sl2_algebra(P))
         assert GradedModule.from_json(z.to_json()).dim == 0
 
+    @pytest.mark.parametrize("key", ["algebra", "dim", "weights", "action"])
+    def test_missing_key_is_named(self, v6, key):
+        d = {k: v for k, v in v6.to_json_dict().items() if k != key}
+        with pytest.raises(ValueError, match=f"field '{key}' is missing"):
+            GradedModule.from_json_dict(d)
+
+    @pytest.mark.parametrize("key", ["kind", "p"])
+    def test_missing_algebra_key_is_named(self, v6, key):
+        d = v6.to_json_dict()
+        del d["algebra"][key]
+        with pytest.raises(ValueError,
+                           match=f"field 'algebra.{key}' is missing"):
+            GradedModule.from_json_dict(d)
+
+    def test_dim_must_count_the_weights(self):
+        d = {"algebra": {"kind": "sl2r1", "p": 3}, "dim": 2,
+             "weights": [[0, 0]], "action": {}}
+        with pytest.raises(ValueError, match="field 'dim' is 2, but there "
+                                             "are 1 weights"):
+            GradedModule.from_json_dict(d)
+
+    @pytest.mark.parametrize("action", [
+        {},
+        {"E": [[0]], "F": [[0]]},
+        {"E": [[0]], "F": [[0]], "H": [[0]], "X1": [[0]]},
+    ], ids=["none", "missing-H", "extra-X1"])
+    def test_action_keys_are_the_generators(self, action):
+        d = {"algebra": {"kind": "sl2r1", "p": 3}, "dim": 1,
+             "weights": [[0, 0]], "action": action}
+        with pytest.raises(ValueError, match="field 'action' does not have "
+                                             "exactly the keys"):
+            GradedModule.from_json_dict(d)
+
+    @pytest.mark.parametrize("bad", [[[0, 1], [0, 0]], [0] * 49, []])
+    def test_matrix_must_be_dim_by_dim(self, v6, bad):
+        d = v6.to_json_dict()
+        d["action"]["F"] = bad
+        with pytest.raises(ValueError,
+                           match=r"field 'action.F' is not a 7 x 7 matrix"):
+            GradedModule.from_json_dict(d)
+
     def test_character_module_weights(self):
         alg = C.borel_algebra(P, 1)
         k = character_module(alg, (2, 1))

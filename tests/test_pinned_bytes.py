@@ -7,8 +7,9 @@ output and the block quiver `grq schur` prints.  The tau, cover and
 sequence digests of the sl2 families were recorded before the isomorphism
 test and the sl2 projective cover were rewritten; the socle, top, borel and
 demo digests before the radical and socle were rewritten; the schur digest
-before the template matcher's search was replaced.  Run this file as a
-script to print the current ones.
+before the template matcher's search was replaced; the borel and ar digests
+before the elimination kernel updated only the rows it has to.  Run this
+file as a script to print the current ones.
 """
 
 import contextlib
@@ -107,7 +108,10 @@ SOCLE_TOP_DEGREES = [(3, d) for d in range(3, 9)] + \
     [(5, d) for d in range(5, 8)]
 BOREL_PRIMES = [3, 5]
 DEMOS = ["block_quiver_demo", "torsion_functor_demo", "borel_demo"]
-CLI_RUNS = ["--p 3 --seed 0 schur --d 9 --drop-projective-injective"]
+CLI_RUNS = ["--p 3 --seed 0 schur --d 9 --drop-projective-injective",
+            "--p 5 --seed 0 borel --r 2 --d 8",
+            "--p 3 --seed 0 borel --r 2 --d 8",
+            "--p 3 --seed 0 ar V(4) --max-ql 1 --max-tau 1 --emit dot"]
 
 
 def current_digests() -> dict[str, str]:
@@ -226,6 +230,9 @@ PINNED = {
     "demo torsion_functor_demo": "f132540eb757519d56242b7bb1f49efac66abc30ff8138e53d58d784ae14bfa4",
     "demo borel_demo": "0b81c6a34780245ce6f58451f88d1ab4870b15c9c1c84968eca68c8ffe3e76d6",
     "grq --p 3 --seed 0 schur --d 9 --drop-projective-injective": "b1f84d12d9444d167501e3c29c1b4f828c8bafd6caf52bfdd662e8cfe58e5b9f",
+    "grq --p 5 --seed 0 borel --r 2 --d 8": "59147fd534687144cf88698e35caea5906cf6604a9c6a813592ba61f61e21b26",
+    "grq --p 3 --seed 0 borel --r 2 --d 8": "c336bd209a123ce545274e9516e1d7417c72236e924ee2ec516df1db05a12a92",
+    "grq --p 3 --seed 0 ar V(4) --max-ql 1 --max-tau 1 --emit dot": "c3826e1fe9f5209a97aa427a1733b853e4c43d1bbe70d25e706872b0c822beb2",
 }
 
 
