@@ -5,6 +5,7 @@ quivers Z[A_n]/<tau^m>, symmetry and shift-equivalence reports, DOT output."""
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import constructions, homological, polynomial
@@ -120,6 +121,25 @@ class ARQuiver:
         key = (src, tgt)
         self.arrows[key] = max(self.arrows.get(key, 0), mult)
 
+    def add_mesh(self, seq: homological.ShortExact, name: str,
+                 vertex: Callable[[GradedModule], str]
+                 ) -> tuple[str, list[str]]:
+        """Record the almost split sequence seq ending at vertex `name`: its
+        tau entry, the arrows into and out of each middle summand, and the
+        sequence. `vertex` names a term, left term first, then the middle
+        summands in the order of `decompose`. Returns the name of the left
+        term and the middle names, repeated by multiplicity."""
+        left = vertex(seq.left)
+        self.tau[name] = left
+        mids = []
+        for piece, mult in decompose(seq.middle):
+            mn = vertex(piece)
+            self.add_arrow(mn, name, mult)
+            self.add_arrow(left, mn, mult)
+            mids.extend([mn] * mult)
+        self.sequences.append((left, tuple(sorted(mids)), name))
+        return left, mids
+
     def mesh_violations(self) -> list[str]:
         errs = []
         for v, tv in self.tau.items():
@@ -212,18 +232,11 @@ def explore_component(seed: GradedModule, max_ql: int = 3,
         v = q.vertices[name].module
         if homological.is_projective(v):
             continue
-        seq = homological.almost_split_sequence(v)
-        left = q.add_module(seq.left)
+        left, mids = q.add_mesh(homological.almost_split_sequence(v), name,
+                                q.add_module)
         coords.setdefault(left, (t + 1, lvl))
-        q.tau[name] = left
-        mids = []
-        for piece, mult in decompose(seq.middle):
-            mn = q.add_module(piece)
+        for mn in mids:
             coords.setdefault(mn, (t, lvl + 1))
-            q.add_arrow(mn, name, mult)
-            q.add_arrow(left, mn, mult)
-            mids.extend([mn] * mult)
-        q.sequences.append((left, tuple(sorted(mids)), name))
         if len(mids) == 1:
             q.vertices[name].ql = 1
         # enqueue within bounds
@@ -245,18 +258,24 @@ def explore_component(seed: GradedModule, max_ql: int = 3,
 # quasi-length and wings
 
 
+def _lower_middle(v: GradedModule) -> GradedModule | None:
+    """The smallest middle summand of the almost split sequence ending at v,
+    or None when the middle is indecomposable (v is quasi-simple)."""
+    seq = homological.almost_split_sequence(v)
+    pieces = [piece for piece, mult in decompose(seq.middle)
+              for _ in range(mult)]
+    if len(pieces) == 1:
+        return None
+    return min(pieces, key=lambda x: x.dim)
+
+
 def quasi_length(v: GradedModule, _depth: int = 0) -> int:
     """1 + quasi-length of the lower middle summand; quasi-simple modules
     have an indecomposable middle."""
     if _depth > 20:
         raise RuntimeError("quasi-length recursion exceeded bound")
-    seq = homological.almost_split_sequence(v)
-    pieces = [piece for piece, mult in decompose(seq.middle)
-              for _ in range(mult)]
-    if len(pieces) == 1:
-        return 1
-    low = min(pieces, key=lambda x: x.dim)
-    return 1 + quasi_length(low, _depth + 1)
+    low = _lower_middle(v)
+    return 1 if low is None else 1 + quasi_length(low, _depth + 1)
 
 
 def wing_modules(v: GradedModule, _depth: int = 0) -> list[GradedModule]:
@@ -264,12 +283,9 @@ def wing_modules(v: GradedModule, _depth: int = 0) -> list[GradedModule]:
     of its tau-inverse translate."""
     if _depth > 20:
         raise RuntimeError("wing recursion exceeded bound")
-    seq = homological.almost_split_sequence(v)
-    pieces = [piece for piece, mult in decompose(seq.middle)
-              for _ in range(mult)]
-    if len(pieces) == 1:
+    c1 = _lower_middle(v)
+    if c1 is None:
         return [v]
-    c1 = min(pieces, key=lambda x: x.dim)
     c2 = homological.tau_inv(c1)
     out = [v]
     for w in wing_modules(c1, _depth + 1) + wing_modules(c2, _depth + 1):
@@ -457,16 +473,7 @@ def schur_block_quiver(p: int, d: int,
                 for piece, mult in decompose(qs):
                     q.add_arrow(name, vertex(piece), mult)
         else:
-            seq = polynomial.almost_split_in_poly(v.module)
-            ln = vertex(seq.left)
-            q.tau[name] = ln
-            mids = []
-            for piece, mult in decompose(seq.middle):
-                pn = vertex(piece)
-                q.add_arrow(pn, name, mult)
-                q.add_arrow(ln, pn, mult)
-                mids.extend([pn] * mult)
-            q.sequences.append((ln, tuple(sorted(mids)), name))
+            q.add_mesh(polynomial.almost_split_in_poly(v.module), name, vertex)
     return q
 
 

@@ -1,5 +1,5 @@
 """Projective covers, Heller shifts, AR translates, Ext^1 and almost split
-sequences, Betti sequences and rank-variety probes."""
+sequences, Betti sequences, complexity and rank-variety probes."""
 
 from __future__ import annotations
 
@@ -146,6 +146,14 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     return P, epi
 
 
+def _free(m: GradedModule, x: np.ndarray) -> bool:
+    """m is free over k[x]/(x^p) for the nilpotent operator x on m: p divides
+    dim m and rank x = dim m * (p - 1) / p, i.e. every Jordan block of x has
+    size p."""
+    p = m.field.p
+    return m.dim % p == 0 and m.field.rank(x) == m.dim * (p - 1) // p
+
+
 def is_projective(m: GradedModule) -> bool:
     """m is free over k[x]/(x^p) for x = E, F (sl2r1) or each X_i (borel).
 
@@ -154,11 +162,8 @@ def is_projective(m: GradedModule) -> bool:
     and a torus limit of any nonzero point lies on a root line (sl2) or a
     coordinate axis (borel); so these elements decide projectivity.
     """
-    ff = m.field
     gens = ["E", "F"] if m.algebra.kind == "sl2r1" else m.algebra.generators()
-    free_rank = m.dim * (ff.p - 1) // ff.p
-    return m.dim % ff.p == 0 and all(ff.rank(m.action[g]) == free_rank
-                                     for g in gens)
+    return all(_free(m, m.action[g]) for g in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +240,29 @@ def omega_pow(m: GradedModule, k: int) -> GradedModule:
 
 
 def nakayama(m: GradedModule) -> GradedModule:
-    """Identity for sl2r1; shift by (p^r - 1)(1, -1) for borel.
+    """Identity for sl2r1; for borel, the shift by (1 - p) times the sum of
+    the generators' weight shifts: (p^r - 1)(1, -1) when X_1..X_r lower the
+    weight, and its negative over the raising variant.
 
-    With generators lowering the weight by (1, -1), the second syzygy of a
-    character module sits at -p^r(1, -1), and the almost split sequence
-    ending at k_mu must start at k_{mu - (1,-1)}; this fixes the sign of
-    the Nakayama twist.
+    The free module generated at lam has its socle at lam + (p - 1) times
+    that sum, so the shift carries the projective cover of k_lam to its
+    injective hull. With generators lowering the weight by (1, -1), the
+    second syzygy of a character module sits at -p^r(1, -1), and the almost
+    split sequence ending at k_mu starts at k_{mu - (1,-1)}.
     """
-    if m.algebra.kind == "sl2r1":
+    alg = m.algebra
+    if alg.kind == "sl2r1":
         return m
-    step = m.algebra.p ** m.algebra.r - 1
-    return shift(m, (step, -step))
+    shifts = [alg.action_shift(g) for g in alg.generators()]
+    return shift(m, tuple((1 - alg.p) * sum(c) for c in zip(*shifts)))
 
 
 def nakayama_inv(m: GradedModule) -> GradedModule:
+    """The inverse twist: the dual lives over the opposite weight
+    convention, whose twist is the negative shift."""
     if m.algebra.kind == "sl2r1":
         return m
-    step = m.algebra.p ** m.algebra.r - 1
-    return shift(m, (-step, step))
+    return dual(nakayama(dual(m)))
 
 
 def tau(m: GradedModule) -> GradedModule:
@@ -272,27 +282,38 @@ class ExtClass:
     rep: ModuleMap  # omega(right) -> left
 
 
-def _left_annihilator(ff, cols: np.ndarray) -> np.ndarray:
-    """Rows A with A @ cols = 0; membership f in span(cols) iff A @ f = 0."""
-    return ff.kernel_basis(cols.T).T
+def _ext_system(incl: ModuleMap, w: GradedModule
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ext^1(v, w) = Hom(K, w) / span(B) for the minimal presentation
+    incl: K = Omega(v) -> P of v.
+
+    Returns the basis of Hom(K, w), stacked, and B, whose columns are the
+    flattened maps h o incl for h in Hom(P, w): the maps that factor
+    through the cover. B has no columns when Hom(P, w) = 0. When
+    Hom(K, w) = 0, B is None and Hom(P, w) is not built.
+    """
+    K, P = incl.source, incl.target
+    homs = hom_space(K, w)
+    if not homs:
+        return np.zeros((0, w.dim, K.dim), dtype=np.int64), None
+    ff = w.field
+    B = np.array([ff.matmul(h, incl.matrix).reshape(-1)
+                  for h in hom_space(P, w)],
+                 dtype=np.int64).reshape(-1, w.dim * K.dim).T
+    return np.stack(homs), B
 
 
 def ext1(v: GradedModule, w: GradedModule
          ) -> tuple[int, list[ExtClass]]:
     """dim Ext^1(v, w) and stable-Hom representatives spanning it."""
-    K, incl, P, epi = omega_with_maps(v)
-    homs = hom_space(K, w)
-    if not homs:
+    K, incl, _, _ = omega_with_maps(v)
+    homs, B = _ext_system(incl, w)
+    if B is None:
         return 0, []
-    ff = v.field
-    homsP = hom_space(P, w)
-    factoring = [ff.matmul(h, incl.matrix).reshape(-1) for h in homsP]
-    flat = np.stack([h.reshape(-1) for h in homs], axis=1)
-    B = (np.stack(factoring, axis=1) if factoring
-         else np.zeros((flat.shape[0], 0), dtype=np.int64))
-    # the pivots of [B | flat] past B pick, greedily, the homs that enlarge
+    # the pivots of [B | homs] past B pick, greedily, the homs that enlarge
     # the span of B: a basis of Ext^1 = Hom(K, w) / span(B)
-    _, pivots, _ = ff.rref(np.hstack([B, flat]))
+    _, pivots, _ = v.field.rref(
+        np.hstack([B, homs.reshape(len(homs), -1).T]))
     reps = [ExtClass(ModuleMap(K, w, homs[c - B.shape[1]]))
             for c in pivots if c >= B.shape[1]]
     return len(reps), reps
@@ -326,18 +347,11 @@ def almost_split_sequence(v: GradedModule) -> ShortExact:
     ff = v.field
     K, incl, P, epi = omega_with_maps(v)
     tv = nakayama(omega(K))
-    homs = hom_space(K, tv)
-    if not homs:
+    homs, B = _ext_system(incl, tv)
+    if B is None:
         raise RuntimeError("Ext^1(v, tau v) vanishes; no almost split "
                            "sequence found")
-    homsP = hom_space(P, tv)
-    B_cols = ([ff.matmul(h, incl.matrix).reshape(-1) for h in homsP]
-              or [np.zeros(tv.dim * K.dim, dtype=np.int64)])
-    B = np.stack(B_cols, axis=1)
-    A = _left_annihilator(ff, B)  # Ext coordinates: class of f is A @ flat(f)
-
-    if A.shape[0] == 0:
-        raise RuntimeError("Ext^1(v, tau v) vanishes")
+    A = ff.kernel_basis(B.T).T  # Ext coordinates: class of f is A @ flat(f)
 
     # lift each radical endomorphism nu to rho: P -> P with
     # epi o rho = nu o epi, and restrict rho to Omega(nu): K -> K
@@ -360,7 +374,6 @@ def almost_split_sequence(v: GradedModule) -> ShortExact:
 
     # solve for h in span(homs): A @ flat(h o Omega(nu)) = 0 for all nu,
     # with [h] nonzero; the solution space modulo B must be one-dimensional
-    homs = np.stack(homs)
     n_h = len(homs)
     if omegas:
         sol = ff.kernel_basis(np.vstack([
@@ -422,18 +435,33 @@ def betti(m: GradedModule, n_terms: int) -> BettiSequence:
     return BettiSequence(dims)
 
 
-def complexity_estimate(m: GradedModule, window: int = 12) -> int | str:
-    """Bounded-window heuristic: 0, 1, 2 or "unknown"."""
-    b = betti(m, window).dims
-    if 0 in b:
+def complexity(m: GradedModule) -> int:
+    """The complexity of m, exactly, from its rank variety: 0, 1 or 2.
+
+    0 when m is projective. Otherwise the rank variety V(m) is a nonzero
+    closed cone stable under the torus (Friedlander-Parshall, Invent. Math.
+    86, 1986; Carlson, J. Algebra 85, 1983), inside the nilpotent cone of
+    sl2 or inside k^r for the borel algebra, and cx m = dim V(m). For
+    r <= 2 the torus and the scalars have a dense orbit in that ambient
+    variety, the orbit of x = E - F + H (sl2) or X_1 + X_2 (borel, r = 2);
+    so V(m) is all of it, and cx m = 2, exactly when m is not free over x,
+    and cx m = 1 otherwise. For r = 1 the ambient variety is a line. For
+    r >= 3 the torus has no dense orbit, one point decides nothing, and
+    ValueError is raised.
+    """
+    if is_projective(m):
         return 0
-    half = window // 2
-    if max(b[half:]) <= max(b[:half]):
+    alg = m.algebra
+    if alg.kind == "sl2r1":
+        x = m.action["E"] - m.action["F"] + m.action["H"]
+    elif alg.r > 2:
+        raise ValueError(f"complexity needs r <= 2 on the borel backend, "
+                         f"got r = {alg.r}")
+    elif alg.r == 2:
+        x = sum(m.action[g] for g in alg.generators())
+    else:
         return 1
-    d = [b[i + 1] - b[i] for i in range(len(b) - 1)]
-    if max(d[half:]) <= max(d[:half]):
-        return 2
-    return "unknown"
+    return 1 if _free(m, x % alg.p) else 2
 
 
 def rank_probe(m: GradedModule, x) -> dict:
@@ -455,7 +483,5 @@ def rank_probe(m: GradedModule, x) -> dict:
     if (a, b, c) == (0, 0, 0) or (c * c + a * b) % ff.p != 0:
         raise ValueError(f"element {coeffs} is not nilpotent in sl2")
     op = (a * m.action["E"] + b * m.action["F"] + c * m.action["H"]) % ff.p
-    rank = ff.rank(op)
     expected = m.dim * (ff.p - 1) // ff.p if m.dim % ff.p == 0 else None
-    free = expected is not None and rank == expected
-    return {"free": free, "rank": rank, "expected": expected}
+    return {"free": _free(m, op), "rank": ff.rank(op), "expected": expected}

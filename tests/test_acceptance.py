@@ -7,6 +7,8 @@ Each criterion is one test; on success it prints a single [PASS] line, and
 a failure surfaces as the usual pytest [FAIL] for that criterion.
 """
 
+import itertools
+
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import homological as H
@@ -17,6 +19,7 @@ from grquiver.grmod import (character_module, contravariant_dual, decompose,
 from ungraded_oracle import has_ungraded_section, ungraded_resolution_dims
 
 P = 3
+PRIMES = (3, 5)
 
 
 def ok(n: int, text: str) -> None:
@@ -57,22 +60,28 @@ def test_criterion_01_construction_fidelity():
 
 
 def test_criterion_02_tau_on_w():
-    for s in (1, 2, 3):
-        for a in (0, 1):
-            w = C.w_hat(P, s * P + a)
-            assert_iso(H.tau(w), shift(w, (P, -P)), f"tau W({s * P + a})")
-    ok(2, "tau(W(sp+a)) = W(sp+a)[(p,-p)] for s in {1,2,3}, a in {0,1}")
+    for p in PRIMES:
+        for s in (1, 2, 3):
+            for a in (0, 1):
+                w = C.w_hat(p, s * p + a)
+                assert_iso(H.tau(w), shift(w, (p, -p)),
+                           f"p={p}: tau W({s * p + a})")
+    ok(2, "tau(W(sp+a)) = W(sp+a)[(p,-p)] for s in {1,2,3}, a in {0,1}, "
+          "p in {3,5}")
 
 
 def test_criterion_03_tau_on_v():
-    for s in (1, 2):
-        for a in (0, 1):
-            for i in (0, 1):
-                v = shift(C.weyl_hat(P, s * P + a), (i, i))
-                expected = shift(C.weyl_hat(P, (s + 2) * P + a),
-                                 (i - P, i - P))
-                assert_iso(H.tau(v), expected, f"tau V({s * P + a})[{i}]")
-    ok(3, "tau(V(sp+a)[(i,i)]) = V((s+2)p+a)[(i-p,i-p)] on all 8 instances")
+    for p in PRIMES:
+        for s in (1, 2):
+            for a in (0, 1):
+                for i in (0, 1):
+                    v = shift(C.weyl_hat(p, s * p + a), (i, i))
+                    expected = shift(C.weyl_hat(p, (s + 2) * p + a),
+                                     (i - p, i - p))
+                    assert_iso(H.tau(v), expected,
+                               f"p={p}: tau V({s * p + a})[{i}]")
+    ok(3, "tau(V(sp+a)[(i,i)]) = V((s+2)p+a)[(i-p,i-p)] on all 8 instances "
+          "at each p in {3,5}")
 
 
 def test_criterion_04_almost_split_middles():
@@ -97,17 +106,20 @@ def test_criterion_04_almost_split_middles():
 
 
 def test_criterion_05_torsion_identities():
-    for s in (1, 2):
-        for a in (0, 1):
-            t1, _ = PY.t_poly(shift(C.weyl_hat(P, (s + 1) * P + a), (-P, 0)))
-            assert_iso(t1, C.w_hat(P, s * P + a), "first torsion identity")
-            t2, _ = PY.t_poly(shift(C.weyl_hat(P, (s + 2) * P + a),
-                                    (-P, -P)))
-            expected = contravariant_dual(
-                shift(C.weyl_hat(P, s * P - a - 2), (a + 1, a + 1)))
-            assert_iso(t2, expected, "second torsion identity")
+    for p in PRIMES:
+        for s in (1, 2):
+            for a in (0, 1):
+                t1, _ = PY.t_poly(shift(C.weyl_hat(p, (s + 1) * p + a),
+                                        (-p, 0)))
+                assert_iso(t1, C.w_hat(p, s * p + a),
+                           f"p={p}: first torsion identity")
+                t2, _ = PY.t_poly(shift(C.weyl_hat(p, (s + 2) * p + a),
+                                        (-p, -p)))
+                expected = contravariant_dual(
+                    shift(C.weyl_hat(p, s * p - a - 2), (a + 1, a + 1)))
+                assert_iso(t2, expected, f"p={p}: second torsion identity")
     ok(5, "t(V((s+1)p+a)[(-p,0)]) = W(sp+a) and "
-          "t(V((s+2)p+a)[(-p,-p)]) = V(sp-a-2)[(a+1,a+1)]^o")
+          "t(V((s+2)p+a)[(-p,-p)]) = V(sp-a-2)[(a+1,a+1)]^o, p in {3,5}")
 
 
 def _check_poly_sequence(end, left, middles, what):
@@ -120,38 +132,40 @@ def _check_poly_sequence(end, left, middles, what):
 def test_criterion_06_induced_polynomial_sequences():
     s = 2
     dual = contravariant_dual
-    for a in (0, 1):
+    for p, a in itertools.product(PRIMES, (0, 1)):
         for l in range(0, s):  # sequences ending at a shifted Weyl module
-            end = shift(C.weyl_hat(P, (s - l - 1) * P + a),
-                        (0, (l + 1) * P))
-            left = shift(C.w_hat(P, (s - l) * P + a), (0, l * P))
-            mids = [shift(C.weyl_hat(P, (s - l) * P + a), (0, l * P))]
+            end = shift(C.weyl_hat(p, (s - l - 1) * p + a),
+                        (0, (l + 1) * p))
+            left = shift(C.w_hat(p, (s - l) * p + a), (0, l * p))
+            mids = [shift(C.weyl_hat(p, (s - l) * p + a), (0, l * p))]
             if s - l - 1 >= 1:
-                mids.append(shift(C.w_hat(P, (s - l - 1) * P + a),
-                                  (0, (l + 1) * P)))
-            _check_poly_sequence(end, left, mids, f"type-1 sequence a={a} l={l}")
+                mids.append(shift(C.w_hat(p, (s - l - 1) * p + a),
+                                  (0, (l + 1) * p)))
+            what = f"p={p}: type-1 sequence a={a} l={l}"
+            _check_poly_sequence(end, left, mids, what)
             _check_poly_sequence(weyl_twist(end), weyl_twist(left),
                                  [weyl_twist(m) for m in mids],
-                                 f"twisted type-1 sequence a={a} l={l}")
+                                 f"twisted {what}")
         for l in range(1, s):  # sequences ending at a shifted W-module
-            end = shift(C.w_hat(P, (s - l + 1) * P + a), ((l - 1) * P, 0))
-            left = dual(shift(C.weyl_hat(P, (s - l) * P - a - 2),
-                              (a + 1 + l * P, a + 1)))
-            mids = [shift(C.w_hat(P, (s - l) * P + a), (l * P, 0)),
-                    dual(shift(C.weyl_hat(P, (s - l + 1) * P - a - 2),
-                               (a + 1 + (l - 1) * P, a + 1)))]
-            _check_poly_sequence(end, left, mids, f"type-2 sequence a={a} l={l}")
+            end = shift(C.w_hat(p, (s - l + 1) * p + a), ((l - 1) * p, 0))
+            left = dual(shift(C.weyl_hat(p, (s - l) * p - a - 2),
+                              (a + 1 + l * p, a + 1)))
+            mids = [shift(C.w_hat(p, (s - l) * p + a), (l * p, 0)),
+                    dual(shift(C.weyl_hat(p, (s - l + 1) * p - a - 2),
+                               (a + 1 + (l - 1) * p, a + 1)))]
+            what = f"p={p}: type-2 sequence a={a} l={l}"
+            _check_poly_sequence(end, left, mids, what)
             _check_poly_sequence(weyl_twist(end), weyl_twist(left),
                                  [weyl_twist(m) for m in mids],
-                                 f"twisted type-2 sequence a={a} l={l}")
+                                 f"twisted {what}")
         # sequence ending at V(sp+a)
         _check_poly_sequence(
-            C.weyl_hat(P, s * P + a),
-            dual(shift(C.weyl_hat(P, s * P - a - 2), (a + 1, a + 1))),
-            [C.w_hat(P, s * P + a), C.w_hat_twisted(P, s * P + a)],
-            f"V-sequence a={a}")
+            C.weyl_hat(p, s * p + a),
+            dual(shift(C.weyl_hat(p, s * p - a - 2), (a + 1, a + 1))),
+            [C.w_hat(p, s * p + a), C.w_hat_twisted(p, s * p + a)],
+            f"p={p}: V-sequence a={a}")
     ok(6, "induced sequences, their twists and the V-ending sequence "
-          "reproduced for s=2, all admissible l, a in {0,1}")
+          "reproduced for s=2, all admissible l, a in {0,1}, p in {3,5}")
 
 
 def test_criterion_07_block_templates():
@@ -175,24 +189,28 @@ def test_criterion_08_morita_and_block_count():
 
 
 def test_criterion_09_wings_and_orbit_scan():
-    for s in (1, 2, 3):
-        for a in (0, 1):
-            seed = C.w_hat(P, s * P + a)
-            mods = AQ.wing_modules(seed)
-            assert len(mods) == s * (s + 1) // 2
-            assert all(PY.is_polynomial(m).is_polynomial for m in mods)
-            cur = seed
-            for i in range(1, 51):
-                cur = H.tau(cur)
-                assert not PY.is_polynomial(cur).is_polynomial, \
-                    f"tau^{i} of W({s * P + a}) is polynomial"
-            cur = seed
-            for i in range(1, 51):
-                cur = H.tau_inv(cur)
-                assert not PY.is_polynomial(cur).is_polynomial, \
-                    f"tau^-{i} of W({s * P + a}) is polynomial"
-    ok(9, "wing size s(s+1)/2, all members polynomial, and no polynomial "
-          "module in the tau-orbit for 0 < |i| <= 50")
+    for p, s, a in itertools.product(PRIMES, (1, 2, 3), (0, 1)):
+        what = f"p={p}: W({s * p + a})"
+        seed = C.w_hat(p, s * p + a)
+        mods = AQ.wing_modules(seed)
+        assert len(mods) == s * (s + 1) // 2, what
+        assert all(PY.is_polynomial(m).is_polynomial for m in mods), what
+        # the theorem's hypothesis: the component has complexity 1
+        assert [H.complexity(m) for m in [seed] + mods] \
+            == [1] * (len(mods) + 1), what
+        cur = seed
+        for i in range(1, 51):
+            cur = H.tau(cur)
+            assert not PY.is_polynomial(cur).is_polynomial, \
+                f"tau^{i} of {what} is polynomial"
+        cur = seed
+        for i in range(1, 51):
+            cur = H.tau_inv(cur)
+            assert not PY.is_polynomial(cur).is_polynomial, \
+                f"tau^-{i} of {what} is polynomial"
+    ok(9, "wing size s(s+1)/2, all members polynomial of complexity 1, and "
+          "no polynomial module in the tau-orbit for 0 < |i| <= 50, "
+          "p in {3,5}")
 
 
 def test_criterion_10_duality_laws():
@@ -215,36 +233,38 @@ def test_criterion_10_duality_laws():
 
 
 def test_criterion_11_borel_backend():
-    for d in range(0, 9):
-        reports = PY.quasi_hereditary_check(P, 1, d)
-        assert len(reports) == d + 1
-        assert all(r.passed for r in reports), f"degree {d}"
-    for r in (1, 2):
-        alg = C.borel_algebra(P, r)
-        k0 = character_module(alg, (0, 0))
-        assert H.nakayama(k0).weights == ((P ** r - 1, 1 - P ** r),)
-    a1 = C.borel_algebra(P, 1)
-    a2 = C.borel_algebra(P, 1, offset=2)
-    z1 = C.borel_projective((0, 0), a1)
-    z2 = C.borel_projective((0, 0), a2)
-    two1, _ = PY.u_poly(H.omega(character_module(a1, (2, 0))))
-    instances = [
-        (character_module(a1, (0, 0)), character_module(a2, (0, 0))),
-        (character_module(a1, (0, 0)), z2),
-        (z1, character_module(a2, (1, 1))),
-        (character_module(a1, (2, 1)), character_module(a2, (0, 2))),
-        (H.omega(character_module(a1, (0, 0))),
-         character_module(a2, (0, 0))),
-    ]
-    for m, n in instances:
-        bm = H.betti(m, 6).dims
-        bn = H.betti(n, 6).dims
-        bt = H.betti(C.outer_tensor(m, n), 6).dims
-        conv = [sum(bm[i] * bn[k - i] for i in range(k + 1))
-                for k in range(6)]
-        assert bt == conv, f"{bm} * {bn} -> {bt} != {conv}"
+    for p in PRIMES:
+        for d in range(0, 9):
+            reports = PY.quasi_hereditary_check(p, 1, d)
+            assert len(reports) == d + 1
+            assert all(r.passed for r in reports), f"p={p}: degree {d}"
+        for r in (1, 2):
+            alg = C.borel_algebra(p, r)
+            k0 = character_module(alg, (0, 0))
+            assert H.nakayama(k0).weights == ((p ** r - 1, 1 - p ** r),)
+        a1 = C.borel_algebra(p, 1)
+        a2 = C.borel_algebra(p, 1, offset=2)
+        z1 = C.borel_projective((0, 0), a1)
+        z2 = C.borel_projective((0, 0), a2)
+        two1, _ = PY.u_poly(H.omega(character_module(a1, (2, 0))))
+        instances = [
+            (character_module(a1, (0, 0)), character_module(a2, (0, 0))),
+            (character_module(a1, (0, 0)), z2),
+            (z1, character_module(a2, (1, 1))),
+            (character_module(a1, (2, 1)), character_module(a2, (0, 2))),
+            (H.omega(character_module(a1, (0, 0))),
+             character_module(a2, (0, 0))),
+        ]
+        for m, n in instances:
+            bm = H.betti(m, 6).dims
+            bn = H.betti(n, 6).dims
+            bt = H.betti(C.outer_tensor(m, n), 6).dims
+            conv = [sum(bm[i] * bn[k - i] for i in range(k + 1))
+                    for k in range(6)]
+            assert bt == conv, f"p={p}: {bm} * {bn} -> {bt} != {conv}"
     ok(11, "quasi-hereditary evidence for d <= 8, nakayama shift "
-           "(p^r-1)(1,-1), and Betti convolution on 5 outer tensors")
+           "(p^r-1)(1,-1), and Betti convolution on 5 outer tensors, "
+           "p in {3,5}")
 
 
 def test_criterion_12_forgetful_coherence():

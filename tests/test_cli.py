@@ -7,6 +7,8 @@ import pytest
 
 from grquiver import cli
 from grquiver.cli import main
+from grquiver.constructions import borel_algebra
+from grquiver.grmod import borel_dual, character_module
 
 
 def run(capsys, *argv):
@@ -84,6 +86,21 @@ class TestSchurAndAr:
 
 
 class TestBorelAndCheck:
+    def test_raising_dual_character(self, capsys, tmp_path):
+        # the dual of k lives over the raising algebra, whose tau shifts by
+        # (1, -1) where the lowering algebra's shifts by (-1, 1)
+        k = character_module(borel_algebra(3, 1), (0, 0))
+        f = tmp_path / "dk.json"
+        f.write_text(borel_dual(k).to_json() + "\n")
+        code, out = run(capsys, "--p", "3", "functor", "tau", str(f),
+                        "--emit", "summary")
+        assert code == 0
+        assert "identified: C(1,-1)" in out
+        code, out = run(capsys, "--p", "3", "ar", str(f), "--max-ql", "1",
+                        "--max-tau", "1")
+        assert code == 0
+        assert '"C(0,0)" -> "C(1,-1)" [style=dashed' in out
+
     def test_borel_report(self, capsys):
         code, out = run(capsys, "--p", "3", "borel", "--d", "2")
         assert code == 0

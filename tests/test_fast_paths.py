@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+import reference_complexity as RC
 import reference_gf as R
 import reference_iso as RI
 import reference_radical as RR
@@ -405,6 +406,40 @@ def test_projectivity_from_rank_varieties(candidates):
     assert all(fast == slow for fast, slow in verdicts)
     projective = sum(slow for _, slow in verdicts)
     assert 0 < projective < len(verdicts)
+
+
+def complexity_inputs(candidates):
+    """(module, is it a candidate): the candidates and their syzygies; over
+    the borel algebra k, Z, Omega k, Omega^2 k, D k and k + Z for (p, r) in
+    {3, 5} x {1, 2}, and k (x) k and k (x) Z at p=3."""
+    for mods in candidates.values():
+        for m in mods:
+            yield m, True
+            yield H.omega(m), False
+    for p, r in itertools.product((3, 5), (1, 2)):
+        alg = C.borel_algebra(p, r)
+        k = G.character_module(alg, (0, 0))
+        z = C.borel_projective((0, 0), alg)
+        for m in (k, z, H.omega(k), H.omega_pow(k, 2), G.dual(k),
+                  direct_sum([k, z])):
+            yield m, False
+    a1, a2 = C.borel_algebra(3, 1), C.borel_algebra(3, 1, offset=2)
+    k1 = G.character_module(a1, (0, 0))
+    for n in (G.character_module(a2, (0, 0)), C.borel_projective((0, 0), a2)):
+        yield C.outer_tensor(k1, n), False
+
+
+def test_complexity_against_betti_window(candidates):
+    inputs = list(complexity_inputs(candidates))
+    assert len(inputs) == 358
+    on_candidates = {0: 0, 1: 0, 2: 0}
+    for m, is_candidate in inputs:
+        cx, ref = H.complexity(m), RC.complexity_estimate(m, 12)
+        assert cx == ref, \
+            f"dim {m.dim}, support {sorted(m.support())}: {cx} vs {ref}"
+        if is_candidate:
+            on_candidates[cx] += 1
+    assert on_candidates == {0: 26, 1: 64, 2: 76}
 
 
 def radical_inputs(candidates):

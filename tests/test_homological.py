@@ -6,8 +6,8 @@ import pytest
 
 from grquiver import constructions as C
 from grquiver import homological as H
-from grquiver.grmod import (character_module, decompose, direct_sum,
-                            is_isomorphic, shift, validate)
+from grquiver.grmod import (borel_dual, character_module, decompose,
+                            direct_sum, is_isomorphic, shift, validate)
 
 P = 3
 
@@ -81,6 +81,21 @@ class TestTau:
         seq = H.almost_split_sequence(k0)
         assert seq.check() == [] and not seq.is_split()
 
+    @pytest.mark.parametrize("p,r,offset", [
+        (3, 1, 1), (3, 2, 1), (5, 1, 1), (5, 2, 1), (3, 1, 2), (5, 1, 2)])
+    def test_tau_on_duals_and_offsets(self, p, r, offset):
+        # tau D = D tau^-1 for D the borel duality, which moves k to the
+        # raising algebra; an offset scales the generators' weight shifts
+        k = character_module(C.borel_algebra(p, r, offset), (0, 0))
+        dk = borel_dual(k)
+        assert is_isomorphic(H.tau(dk), borel_dual(H.tau_inv(k))) is not None
+        assert is_isomorphic(H.tau_inv(dk), borel_dual(H.tau(k))) is not None
+        if r == 1:  # tau k_0 = k_s for s the weight shift of the generator
+            assert H.tau(k).weights == (k.algebra.action_shift(f"X{offset}"),)
+        for m in (k, dk):
+            seq = H.almost_split_sequence(m)
+            assert seq.check() == [] and not seq.is_split()
+
     def test_tau_tau_inv(self):
         v = C.weyl_hat(P, 3)
         assert is_isomorphic(H.tau_inv(H.tau(v)), v) is not None
@@ -143,9 +158,14 @@ class TestBettiAndComplexity:
         assert b == [6 * (i + 1) for i in range(6)]
 
     def test_complexity_values(self):
-        assert H.complexity_estimate(C.projective_indec(P, 0), window=8) == 0
-        assert H.complexity_estimate(C.w_hat(P, 3), window=8) == 1
-        assert H.complexity_estimate(C.simple_hat(P, 0), window=8) == 2
+        assert H.complexity(C.projective_indec(P, 0)) == 0
+        assert H.complexity(C.w_hat(P, 3)) == 1
+        assert H.complexity(C.simple_hat(P, 0)) == 2
+
+    def test_complexity_refuses_r3(self):
+        k = character_module(C.borel_algebra(P, 3), (0, 0))
+        with pytest.raises(ValueError, match="r = 3"):
+            H.complexity(k)
 
 
 class TestRankProbe:
