@@ -32,7 +32,8 @@ def identify(m: GradedModule) -> FamilyLabel | None:
         if m.dim == 1:
             return FamilyLabel("Char", weight=m.weights[0], r=m.algebra.r)
         if m.dim == p ** m.algebra.r:
-            lam = max(m.weights)
+            # the top weight: the generators lower weights, or raise them
+            lam = min(m.weights) if m.algebra.raising else max(m.weights)
             cand = constructions.borel_projective(lam, m.algebra)
             if is_isomorphic(m, cand) is not None:
                 return FamilyLabel("Z", weight=lam, r=m.algebra.r)

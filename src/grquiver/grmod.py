@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -337,6 +338,52 @@ def shift(m: GradedModule, lam: Weight) -> GradedModule:
                         dict(m.action))
 
 
+def _packed(algebra: AlgebraKind, mats) -> np.ndarray:
+    """mats, read-only, in the smallest unsigned type holding 0..p-1."""
+    out = np.asarray(mats).astype(np.min_scalar_type(algebra.p - 1))
+    out.flags.writeable = False
+    return out
+
+
+def _packed_action(m: GradedModule) -> np.ndarray:
+    """The generator matrices of m, stacked in order and packed."""
+    return _packed(m.algebra, [m.action[g] for g in m.algebra.generators()])
+
+
+def _unpacked(algebra: AlgebraKind, mu: Weight, weights: tuple[Weight, ...],
+              action) -> GradedModule:
+    """The module with these weights shifted by mu and the generator
+    matrices packed in action (a `_packed_action` array, or its bytes),
+    copied into fresh int64 arrays."""
+    gens = algebra.generators()
+    if isinstance(action, bytes):
+        n = len(weights)
+        action = np.frombuffer(action, dtype=np.min_scalar_type(
+            algebra.p - 1)).reshape(len(gens), n, n)
+    return GradedModule(algebra,
+                        tuple((a + mu[0], b + mu[1]) for a, b in weights),
+                        dict(zip(gens, action)))
+
+
+def _shift_class(m: GradedModule, mu: Weight | None = None
+                 ) -> tuple[Weight, tuple[Weight, ...], bytes]:
+    """(mu, the weights of m relative to mu, the packed action bytes): with
+    the algebra, the key of m's class under legal shifts.
+
+    mu is the support minimum, with mu0 lowered by (mu0 - mu1) mod p for
+    sl2r1, so shifting by -mu keeps H consistent with the weights (the
+    borel algebra has no H, and every shift is legal).  So every module a
+    cache rebuilds from a valid input is valid.  Pass mu to express m
+    relative to another module's mu.
+    """
+    if mu is None:
+        mu = m.support_min() if m.dim else (0, 0)
+        if m.algebra.kind == "sl2r1":
+            mu = (mu[0] - (mu[0] - mu[1]) % m.algebra.p, mu[1])
+    return (mu, tuple((a - mu[0], b - mu[1]) for a, b in m.weights),
+            _packed_action(m).tobytes())
+
+
 def contravariant_dual(m: GradedModule) -> GradedModule:
     """m^o: transposition anti-automorphism; weight multiset preserved."""
     if m.algebra.kind != "sl2r1":
@@ -591,9 +638,32 @@ def top(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
 
 
 def hom_space(m: GradedModule, n: GradedModule) -> list[np.ndarray]:
-    """Basis of degree-0 intertwiners m -> n, as (dim n x dim m) matrices."""
+    """Basis of degree-0 intertwiners m -> n, as (dim n x dim m) matrices.
+
+    Memoized by shift class: both modules are taken relative to m's legal
+    shift mu (see `_shift_class`), so shifting m and n together hits the
+    cache.  The basis reads weights only through equality, which the shift
+    keeps.  Every call returns fresh int64 matrices.
+    """
     if m.algebra != n.algebra:
         raise ValueError("hom_space requires a common algebra")
+    mu, mw, ma = _shift_class(m)
+    _, nw, na = _shift_class(n, mu)
+    return list(_hom_space_cached(m.algebra, mw, ma, nw, na)
+                .astype(np.int64))
+
+
+@lru_cache(maxsize=1024)
+def _hom_space_cached(algebra: AlgebraKind, mw: tuple[Weight, ...],
+                      ma: bytes, nw: tuple[Weight, ...],
+                      na: bytes) -> np.ndarray:
+    return _packed(algebra, _hom_space_uncached(
+        _unpacked(algebra, (0, 0), mw, ma),
+        _unpacked(algebra, (0, 0), nw, na)))
+
+
+def _hom_space_uncached(m: GradedModule, n: GradedModule) -> np.ndarray:
+    """The basis of Hom(m, n), stacked: shape (dim Hom, dim n, dim m)."""
     ff = m.field
     # unknowns: the entries phi[si[t], sj[t]] joining equal weights, in
     # row-major order
@@ -601,7 +671,7 @@ def hom_space(m: GradedModule, n: GradedModule) -> list[np.ndarray]:
     wm = np.array(m.weights, dtype=np.int64).reshape(m.dim, 2)
     si, sj = np.nonzero((wn[:, None, :] == wm[None, :, :]).all(axis=2))
     if si.size == 0:
-        return []
+        return np.zeros((0, n.dim, m.dim), dtype=np.int64)
     # (A phi - phi B)[i, j] = 0 for each generator: unknown t enters the
     # equation (i, sj[t]) with A[i, si[t]] and (si[t], j) with -B[sj[t], j];
     # equations are numbered (generator, i, j) and only those hit are kept
@@ -629,7 +699,7 @@ def hom_space(m: GradedModule, n: GradedModule) -> list[np.ndarray]:
     kernel = ff.kernel_basis(system)
     basis = np.zeros((kernel.shape[1], n.dim, m.dim), dtype=np.int64)
     basis[:, si, sj] = kernel.T
-    return list(basis)
+    return basis
 
 
 def _nilpotent_parts(m: GradedModule,
@@ -753,31 +823,55 @@ def decompose(m: GradedModule) -> list[tuple[GradedModule, int]]:
     return grouped
 
 
-def _endo_candidates(m: GradedModule,
-                     basis: list[np.ndarray]) -> list[np.ndarray]:
+def _endo_candidates(m: GradedModule, basis: list[np.ndarray]):
+    """Endomorphisms to try for a Fitting split, lazily: the basis, the
+    pairwise products, then every combination (or 64 random ones when
+    there are more than 2000)."""
     ff = m.field
-    cands = list(basis)
+    yield from basis
     for i in range(len(basis)):
         for j in range(len(basis)):
             if i != j:
-                cands.append(ff.matmul(basis[i], basis[j]))
+                yield ff.matmul(basis[i], basis[j])
     p = ff.p
     k = len(basis)
     stacked = np.stack(basis)
     if p ** k <= 2000:
         for coeffs in np.ndindex(*([p] * k)):
-            cands.append(ff.combine(coeffs, stacked))
+            yield ff.combine(coeffs, stacked)
     else:
         rng = np.random.default_rng(0)
         for _ in range(64):
-            cands.append(ff.combine(rng.integers(0, p, size=k), stacked))
-    return cands
+            yield ff.combine(rng.integers(0, p, size=k), stacked)
 
 
 def _decompose_rec(m: GradedModule
                    ) -> list[tuple[GradedModule, np.ndarray]]:
     """Indecomposable summands of m, each with its inclusion matrix into m;
-    together the inclusions form an invertible matrix."""
+    together the inclusions form an invertible matrix.
+
+    Memoized by shift class (see `_shift_class`): the pieces are stored
+    relative to m's legal shift mu and shifted back on every call, as fresh
+    modules and int64 inclusions.  The split reads weights only through
+    equality and sorted order, which the shift keeps.
+    """
+    mu, weights, action = _shift_class(m)
+    return [(_unpacked(m.algebra, mu, w, a), incl.astype(np.int64))
+            for w, a, incl in _decompose_cached(m.algebra, weights, action)]
+
+
+@lru_cache(maxsize=256)
+def _decompose_cached(algebra: AlgebraKind, weights: tuple[Weight, ...],
+                      action: bytes) -> tuple:
+    return tuple(
+        (piece.weights, _packed_action(piece), _packed(algebra, incl))
+        for piece, incl in _decompose_uncached(
+            _unpacked(algebra, (0, 0), weights, action)))
+
+
+def _decompose_uncached(m: GradedModule
+                        ) -> list[tuple[GradedModule, np.ndarray]]:
+    """`_decompose_rec` computed on m; sub-summands go through the cache."""
     if m.dim == 0:
         return []
     ff = m.field

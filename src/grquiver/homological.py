@@ -10,8 +10,9 @@ import numpy as np
 
 from . import constructions
 from .grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
-                    _decompose_rec, _nilpotent_parts, direct_sum, dual,
-                    hom_space, is_isomorphic, quotient, shift,
+                    _decompose_rec, _nilpotent_parts, _packed,
+                    _packed_action, _shift_class, _unpacked, direct_sum,
+                    dual, hom_space, is_isomorphic, quotient, shift,
                     submodule_from_subspace, top, zero_module)
 
 
@@ -170,30 +171,17 @@ def is_projective(m: GradedModule) -> bool:
 # Heller shifts and the AR translate
 
 
-def _packed(algebra: AlgebraKind, mats) -> np.ndarray:
-    """mats, read-only, in the smallest unsigned type holding 0..p-1."""
-    out = np.asarray(mats).astype(np.min_scalar_type(algebra.p - 1))
-    out.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=256)
 def _presentation(algebra: AlgebraKind, weights: tuple[Weight, ...],
                   action: bytes) -> tuple:
     """The minimal presentation of the module with these weights and this
     packed action (generators stacked in order), packed:
     ((K weights, K action), incl, (P weights, P action), epi)."""
-    gens, n = algebra.generators(), len(weights)
-    mats = np.frombuffer(action, dtype=np.min_scalar_type(algebra.p - 1))
-    m = GradedModule(algebra, weights,
-                     dict(zip(gens, mats.reshape(len(gens), n, n))))
+    m = _unpacked(algebra, (0, 0), weights, action)
     P, epi = projective_cover(m)
     K, incl = submodule_from_subspace(P, m.field.kernel_basis(epi.matrix))
-
-    def module(x: GradedModule) -> tuple:
-        return x.weights, _packed(algebra, [x.action[g] for g in gens])
-    return (module(K), _packed(algebra, incl.matrix), module(P),
-            _packed(algebra, epi.matrix))
+    return ((K.weights, _packed_action(K)), _packed(algebra, incl.matrix),
+            (P.weights, _packed_action(P)), _packed(algebra, epi.matrix))
 
 
 def omega_with_maps(m: GradedModule
@@ -206,21 +194,13 @@ def omega_with_maps(m: GradedModule
     minimality of the cover.
 
     The presentation commutes with shift, so it is computed once per shift
-    class: `_presentation` (a bounded LRU cache) is keyed by m shifted so
-    that its support minimum is (0, 0), and K and P are shifted back. The
-    constructors copy the packed cached arrays into fresh int64 ones.
+    class: `_presentation` (a bounded LRU cache) is keyed by
+    `grmod._shift_class`, and K and P are shifted back. The constructors
+    copy the packed cached arrays into fresh int64 ones.
     """
-    mu = m.support_min() if m.dim else (0, 0)
-    gens = m.algebra.generators()
-    (kw, ka), incl, (pw, pa), epi = _presentation(
-        m.algebra, tuple((a - mu[0], b - mu[1]) for a, b in m.weights),
-        _packed(m.algebra, [m.action[g] for g in gens]).tobytes())
-
-    def unpacked(weights, mats) -> GradedModule:
-        return GradedModule(m.algebra,
-                            tuple((a + mu[0], b + mu[1]) for a, b in weights),
-                            dict(zip(gens, mats)))
-    K, P = unpacked(kw, ka), unpacked(pw, pa)
+    mu, weights, action = _shift_class(m)
+    (kw, ka), incl, (pw, pa), epi = _presentation(m.algebra, weights, action)
+    K, P = _unpacked(m.algebra, mu, kw, ka), _unpacked(m.algebra, mu, pw, pa)
     return K, ModuleMap(K, P, incl), P, ModuleMap(P, m, epi)
 
 

@@ -85,24 +85,29 @@ def test_criterion_03_tau_on_v():
 
 
 def test_criterion_04_almost_split_middles():
-    seq = H.almost_split_sequence(shift(C.w_hat(P, 3), (0, 3)))
-    assert seq.check() == [] and not seq.is_split()
-    assert_iso(seq.middle, C.w_hat(P, 6), "middle of W-sequence")
-    for a in (0, 1):
-        end = contravariant_dual(C.weyl_hat(P, P + a))
-        zeta = H.almost_split_sequence(end)
-        assert zeta.check() == [] and not zeta.is_split()
-        assert_iso(zeta.left, C.weyl_hat(P, P + a), "left of zeta'")
-        la = C.simple_hat(P, a)
-        parts = [m for m, mult in decompose(zeta.middle)
-                 for _ in range(mult)]
-        q_parts = [m for m in parts if m.dim == 2 * P]
-        assert len(q_parts) == 1, "middle of zeta' has one 2p-dim summand"
-        match_summands(zeta.middle,
-                       [shift(la, (P, 0)), shift(la, (0, P)), q_parts[0]],
-                       "middle of zeta'")
-    ok(4, "W-sequence middle = W(6); zeta' middle = L(a)[(p,0)] + "
-          "L(a)[(0,p)] + 2p-dim projective")
+    for p in PRIMES:
+        seq = H.almost_split_sequence(shift(C.w_hat(p, p), (0, p)))
+        assert seq.check() == [] and not seq.is_split()
+        assert_iso(seq.middle, C.w_hat(p, 2 * p),
+                   f"p={p}: middle of W-sequence")
+        for a in range(p - 1):
+            what = f"p={p}: zeta' for V({p + a})"
+            end = contravariant_dual(C.weyl_hat(p, p + a))
+            zeta = H.almost_split_sequence(end)
+            assert zeta.check() == [] and not zeta.is_split()
+            assert_iso(zeta.left, C.weyl_hat(p, p + a), f"{what}: left")
+            la = C.simple_hat(p, a)
+            parts = [m for m, mult in decompose(zeta.middle)
+                     for _ in range(mult)]
+            q_parts = [m for m in parts if m.dim == 2 * p]
+            assert len(q_parts) == 1, f"{what}: one 2p-dim summand"
+            match_summands(zeta.middle,
+                           [shift(la, (p, 0)), shift(la, (0, p)),
+                            q_parts[0]],
+                           f"{what}: middle")
+    ok(4, "W(p)[(0,p)]-sequence middle = W(2p); zeta' middle for V(p+a) = "
+          "L(a)[(p,0)] + L(a)[(0,p)] + 2p-dim projective, a < p-1, "
+          "p in {3,5}")
 
 
 def test_criterion_05_torsion_identities():
@@ -214,22 +219,23 @@ def test_criterion_09_wings_and_orbit_scan():
 
 
 def test_criterion_10_duality_laws():
-    samples = [C.w_hat(P, 4), shift(C.weyl_hat(P, 6), (-P, 0)),
-               C.weyl_hat(P, 5), shift(C.w_hat_twisted(P, 3), (1, 1))]
-    for m in samples:
-        assert_iso(contravariant_dual(contravariant_dual(m)), m,
-                   "double dual")
-        u, _ = PY.u_poly(m)
-        t, _ = PY.t_poly(contravariant_dual(m))
-        assert_iso(u, contravariant_dual(t), "u = (t dual)^o")
-    for a in range(P):
-        la = C.simple_hat(P, a)
-        assert_iso(contravariant_dual(la), la, "simple self-dual")
-    patch = AQ.explore_component(C.weyl_hat(P, 3), max_ql=2, max_tau=1)
-    rep = AQ.column_symmetry_check(patch)
-    assert rep["applicable"] and rep["passed"], rep
+    for p in PRIMES:
+        samples = [C.w_hat(p, p + 1), shift(C.weyl_hat(p, 2 * p), (-p, 0)),
+                   C.weyl_hat(p, p + 2), shift(C.w_hat_twisted(p, p), (1, 1))]
+        for m in samples:
+            assert_iso(contravariant_dual(contravariant_dual(m)), m,
+                       f"p={p}: double dual")
+            u, _ = PY.u_poly(m)
+            t, _ = PY.t_poly(contravariant_dual(m))
+            assert_iso(u, contravariant_dual(t), f"p={p}: u = (t dual)^o")
+        for a in range(p):
+            la = C.simple_hat(p, a)
+            assert_iso(contravariant_dual(la), la, f"p={p}: simple self-dual")
+        patch = AQ.explore_component(C.weyl_hat(p, p), max_ql=2, max_tau=1)
+        rep = AQ.column_symmetry_check(patch)
+        assert rep["applicable"] and rep["passed"], (p, rep)
     ok(10, "double dual and u/t duality hold, simples self-dual, and the "
-           "V(3)-component column symmetry check passes")
+           "V(p)-component column symmetry check passes, p in {3,5}")
 
 
 def test_criterion_11_borel_backend():

@@ -30,6 +30,19 @@ class TestIdentify:
         assert lab.family == "W"
         assert lab.shift == (2, 1)
 
+    def test_free_borel_modules_named_at_their_top(self):
+        # over the raising algebra the top of a free module is its lowest
+        # weight, not its highest
+        from grquiver.grmod import borel_dual
+        lowering = C.borel_algebra(P, 1)
+        raising = C.borel_algebra(P, 1, raising=True)
+        cases = [(C.borel_projective((0, 0), lowering), "Z(0,0)@r=1"),
+                 (C.borel_projective((0, 0), raising), "Z(0,0)@r=1"),
+                 (borel_dual(C.borel_projective((0, 0), lowering)),
+                  "Z(-2,2)@r=1")]
+        for m, text in cases:
+            assert str(AQ.identify(m)) == text
+
     def test_unknown_returns_none(self):
         # a decomposable module matches no single family label
         from grquiver.grmod import direct_sum

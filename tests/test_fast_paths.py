@@ -173,6 +173,12 @@ SLICES = [(3, d) for d in range(3, 9)] + [(5, d) for d in range(5, 8)]
 FIELDS = {p: PrimeField(p) for p in (3, 5)}
 
 
+def clear_caches():
+    """Empty the three shift-class caches."""
+    for cache in (G._hom_space_cached, G._decompose_cached, H._presentation):
+        cache.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def candidates():
     return {(p, d): [m for _, m in AQ.enumerate_degree_candidates(p, d)]
@@ -308,7 +314,7 @@ def test_homogenize_columns_against_loop(candidates, covers, monkeypatch):
         seen.append((m, vectors.copy()))
         return real(m, vectors)
     monkeypatch.setattr(G, "_weight_component_basis", record)
-    H._presentation.cache_clear()  # Omega must compute, not hit the cache
+    clear_caches()  # Hom, splits and Omega must compute, not hit a cache
     for mods in list(candidates.values()) + list(covers.values()):
         for m in mods:
             for build in (radical, socle, H.omega_with_maps,
@@ -342,6 +348,13 @@ def presentation_bytes(pres):
 SHIFTS = [(-2, 1), (0, 0), (3, 3)]
 
 
+def legal_origin(m):
+    """m moved by a legal shift (mu0 = mu1 mod p) to the support minimum
+    (c, 0) with 0 <= c < p."""
+    a, b = m.support_min()
+    return G.shift(m, (-(a - (a - b) % m.algebra.p), -b))
+
+
 @pytest.mark.parametrize("key", SLICES, ids=lambda k: f"p{k[0]}-d{k[1]}")
 def test_presentation_cache_is_shift_exact(candidates, key):
     # a hit served from another shift of the same module, a cold miss and
@@ -350,9 +363,8 @@ def test_presentation_cache_is_shift_exact(candidates, key):
     shifted = [G.shift(m, lam) for m in mods for lam in SHIFTS]
     H._presentation.cache_clear()
     warm = [presentation_bytes(H.omega_with_maps(m)) for m in shifted]
-    # one miss per candidate, except candidates that are shifts of another
-    classes = {G.shift(m, tuple(-x for x in m.support_min())).to_json()
-               for m in mods}
+    # one miss per class under legal shifts; (-2, 1) is legal at p=3 only
+    classes = {legal_origin(m).to_json() for m in shifted}
     assert H._presentation.cache_info().misses == len(classes)
     for m, got in zip(shifted, warm):
         H._presentation.cache_clear()
@@ -381,6 +393,83 @@ def test_tau_walk_misses_once_per_shift_class(d):
         m = H.tau(m)
     assert H._presentation.cache_info().misses == 2
     assert sorted(m.weights) != sorted(C.w_hat(3, d).weights)
+
+
+def basis_bytes(basis):
+    return [(b.dtype, b.tobytes()) for b in basis]
+
+
+def summand_bytes(pieces):
+    """Weights, action bytes and inclusion bytes of (piece, inclusion)
+    pairs."""
+    out = []
+    for piece, incl in pieces:
+        out += [piece.weights, incl.dtype, incl.tobytes()]
+        for g in piece.algebra.generators():
+            out += [piece.action[g].dtype, piece.action[g].tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("key", SLICES, ids=lambda k: f"p{k[0]}-d{k[1]}")
+def test_hom_and_split_caches_are_shift_exact(candidates, key, monkeypatch):
+    # the cached Hom bases and Krull-Schmidt splits of shifted candidates
+    # and of their sums, served after warming on the unshifted modules,
+    # equal the uncached bodies run on the shifted modules byte for byte
+    mods = candidates[key]
+    inputs = mods + [direct_sum([a, b]) for i, a in enumerate(mods)
+                     for b in mods[i:] if a.dim + b.dim <= 30]
+    rebuilt = {}
+    real = G._unpacked
+
+    def record(*args):
+        m = real(*args)
+        rebuilt[m.weights, tuple(a.tobytes() for a in m.action.values())] = m
+        return m
+
+    def misses():
+        return (G._hom_space_cached.cache_info().misses,
+                G._decompose_cached.cache_info().misses)
+
+    def warm(m, n):
+        """Cache Hom(m, n) and, for n = m, the split of m, recording every
+        module the caches build; the miss counts after."""
+        with monkeypatch.context() as patch:
+            patch.setattr(G, "_unpacked", record)
+            hom_space(m, n)
+            if n is m:
+                G._decompose_rec(m)
+        return misses()
+    clear_caches()
+    # (3, 3) is legal and hits; (-2, 1) leaves H inconsistent at p=5
+    for lam in [(3, 3), (-2, 1)]:
+        for m in inputs:
+            before, s = warm(m, m), G.shift(m, lam)
+            basis, pieces = hom_space(s, s), G._decompose_rec(s)
+            assert lam != (3, 3) or misses() == before
+            assert basis_bytes(basis) \
+                == basis_bytes(G._hom_space_uncached(s, s))
+            assert summand_bytes(pieces) \
+                == summand_bytes(G._decompose_uncached(s))
+        for a, b in itertools.product(mods, mods):
+            before, sa, sb = warm(a, b), G.shift(a, lam), G.shift(b, lam)
+            basis = hom_space(sa, sb)
+            assert lam != (3, 3) or misses() == before
+            assert basis_bytes(basis) \
+                == basis_bytes(G._hom_space_uncached(sa, sb))
+    # every input is valid, so every module the caches built is
+    assert rebuilt and all(G.validate(m) == [] for m in rebuilt.values())
+
+
+def test_hom_and_split_caches_hand_out_copies():
+    m = direct_sum([C.w_hat(3, 4), C.weyl_hat(3, 4), C.w_hat(3, 4)])
+    basis, pieces = hom_space(m, m), G._decompose_rec(m)
+    before = basis_bytes(basis), summand_bytes(pieces)
+    assert len(pieces) == 3
+    for mat in basis + [a for piece, incl in pieces
+                        for a in [incl, *piece.action.values()]]:
+        mat += 1
+    assert before == (basis_bytes(hom_space(m, m)),
+                      summand_bytes(G._decompose_rec(m)))
 
 
 def projectivity_inputs(candidates):
@@ -483,7 +572,7 @@ def test_rref_against_reference_loop(candidates, monkeypatch):
         seen.setdefault((ff.p, a.shape, a.tobytes()), (ff.p, a))
         return real(ff, m)
     monkeypatch.setattr(PrimeField, "rref", record)
-    H._presentation.cache_clear()  # Omega must compute, not hit the cache
+    clear_caches()  # Hom, splits and Omega must compute, not hit a cache
     mods = [m for ms in candidates.values() for m in ms]
     mods += outer_tensors(3) + outer_tensors(5)
     for m in mods:
