@@ -29,14 +29,16 @@ def identify(m: GradedModule) -> FamilyLabel | None:
         return None
     p = m.algebra.p
     if m.algebra.kind == "borel":
+        alg = m.algebra
+        over = {"r": alg.r, "offset": alg.offset, "raising": alg.raising}
         if m.dim == 1:
-            return FamilyLabel("Char", weight=m.weights[0], r=m.algebra.r)
-        if m.dim == p ** m.algebra.r:
+            return FamilyLabel("Char", weight=m.weights[0], **over)
+        if m.dim == p ** alg.r:
             # the top weight: the generators lower weights, or raise them
-            lam = min(m.weights) if m.algebra.raising else max(m.weights)
-            cand = constructions.borel_projective(lam, m.algebra)
+            lam = min(m.weights) if alg.raising else max(m.weights)
+            cand = constructions.borel_projective(lam, alg)
             if is_isomorphic(m, cand) is not None:
-                return FamilyLabel("Z", weight=lam, r=m.algebra.r)
+                return FamilyLabel("Z", weight=lam, **over)
         return None
     mn = m.support_min()
     candidates: list[FamilyLabel] = []
@@ -386,7 +388,16 @@ class _UnionFind:
 
 def partition_blocks(cands: list[tuple[FamilyLabel, GradedModule]]
                      ) -> list[list[int]]:
-    """Linkage-closure blocks (nonzero Hom or Ext^1) on candidate indices."""
+    """Blocks on candidate indices: the classes of the linkage
+    Hom(m_i, m_j) != 0 or Hom(m_j, m_i) != 0.
+
+    `cands` must list every indecomposable of its degree, as
+    `enumerate_degree_candidates` returns it (`schur_block_quiver` raises
+    when a piece of its block is not a candidate).  Ext^1 then links
+    nothing more: every indecomposable has a nonzero map from an
+    indecomposable projective, and the projectives of one block are
+    Hom-linked.
+    """
     n = len(cands)
     uf = _UnionFind(range(n))
     for i in range(n):
@@ -396,29 +407,16 @@ def partition_blocks(cands: list[tuple[FamilyLabel, GradedModule]]
             mi, mj = cands[i][1], cands[j][1]
             if hom_space(mi, mj) or hom_space(mj, mi):
                 uf.union(i, j)
-    for i in range(n):
-        for j in range(n):
-            if i == j or uf.find(i) == uf.find(j):
-                continue
-            if homological.ext1(cands[i][1], cands[j][1])[0] > 0:
-                uf.union(i, j)
     return sorted(uf.groups(), key=lambda g: str(cands[min(g)][0]))
 
 
-def block_is_semisimple(cands, block) -> bool:
-    if len(block) > 1:
-        return False
-    i = block[0]
-    m = cands[i][1]
-    if len(hom_space(m, m)) > 1:
-        return False
-    return homological.ext1(m, m)[0] == 0
-
-
 def count_non_semisimple_blocks(p: int, d: int) -> int:
-    cands = enumerate_degree_candidates(p, d)
-    blocks = partition_blocks(cands)
-    return sum(0 if block_is_semisimple(cands, b) else 1 for b in blocks)
+    """Blocks of degree d with more than one indecomposable.  A block whose
+    only indecomposable is M also holds M's projective cover and its top,
+    so M is simple and projective: a block is semisimple exactly when it
+    has one member."""
+    return sum(len(b) > 1
+               for b in partition_blocks(enumerate_degree_candidates(p, d)))
 
 
 def schur_block_quiver(p: int, d: int,

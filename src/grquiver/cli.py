@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import arquiver, constructions, homological, polynomial
-from .grmod import (GradedModule, character_module, contravariant_dual,
+from .grmod import (GradedModule, character_module, contravariant_dual, dual,
                     is_isomorphic, shift, socle, top, validate, weyl_twist)
 
 
@@ -70,7 +70,7 @@ def cmd_module(args, out) -> int:
 _FUNCTORS = {
     "t": lambda m: polynomial.t_poly(m)[0],
     "u": lambda m: polynomial.u_poly(m)[0],
-    "dual": contravariant_dual,
+    "dual": dual,
     "w0": weyl_twist,
     "omega": homological.omega,
     "tau": homological.tau,

@@ -239,6 +239,10 @@ class FamilyLabel:
     weight: Weight = (0, 0)  # for Z / Char
     r: int = 1  # for Z
     shift: Weight = (0, 0)
+    # for Z / Char: the borel algebra's first variable and weight convention
+    # (left out of the name)
+    offset: int = 1
+    raising: bool = False
 
     def __str__(self) -> str:
         sh = ""
@@ -276,9 +280,11 @@ class FamilyLabel:
         elif self.family == "Q":
             m = projective_indec(p, self.d)
         elif self.family == "Z":
-            m = borel_projective(self.weight, borel_algebra(p, self.r))
+            m = borel_projective(self.weight, borel_algebra(
+                p, self.r, self.offset, self.raising))
         elif self.family == "Char":
-            m = character_module(borel_algebra(p, self.r), self.weight)
+            m = character_module(borel_algebra(
+                p, self.r, self.offset, self.raising), self.weight)
         else:
             raise ValueError(f"unknown family {self.family!r}")
         if self.shift != (0, 0):

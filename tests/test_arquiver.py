@@ -8,7 +8,8 @@ import pytest
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import polynomial as PY
-from grquiver.grmod import contravariant_dual, shift
+from grquiver.grmod import (borel_dual, character_module, contravariant_dual,
+                            is_isomorphic, shift)
 
 P = 3
 
@@ -42,6 +43,19 @@ class TestIdentify:
                   "Z(-2,2)@r=1")]
         for m, text in cases:
             assert str(AQ.identify(m)) == text
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_borel_labels_rebuild_their_module(self, p):
+        # the label keeps the algebra's offset and weight convention, though
+        # its name leaves them out
+        mods = [borel_dual(C.borel_projective((0, 0), C.borel_algebra(p, 1)))]
+        for alg in (C.borel_algebra(p, 1, raising=True),
+                    C.borel_algebra(p, 1, offset=2)):
+            mods += [C.borel_projective((0, 0), alg),
+                     character_module(alg, (1, -1))]
+        for m in mods:
+            lab = AQ.identify(m)
+            assert is_isomorphic(m, lab.build(p)) is not None, str(lab)
 
     def test_unknown_returns_none(self):
         # a decomposable module matches no single family label

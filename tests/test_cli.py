@@ -101,6 +101,15 @@ class TestBorelAndCheck:
         assert code == 0
         assert '"C(0,0)" -> "C(1,-1)" [style=dashed' in out
 
+    def test_dual_of_borel_character(self, capsys, tmp_path):
+        # `functor dual` takes the duality of the module's backend
+        k = character_module(borel_algebra(3, 1), (0, 0))
+        f = tmp_path / "k.json"
+        f.write_text(k.to_json() + "\n")
+        code, out = run(capsys, "--p", "3", "functor", "dual", str(f))
+        assert code == 0
+        assert out.splitlines()[1] == borel_dual(k).to_json()
+
     def test_borel_report(self, capsys):
         code, out = run(capsys, "--p", "3", "borel", "--d", "2")
         assert code == 0

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+import reference_blocks as RB
 import reference_complexity as RC
 import reference_gf as R
 import reference_iso as RI
@@ -588,3 +589,18 @@ def test_rref_against_reference_loop(candidates, monkeypatch):
         r_ref, pivots_ref, rank_ref = R.rref(p, a)
         assert r.dtype == r_ref.dtype and r.tobytes() == r_ref.tobytes()
         assert (pivots, rank) == (pivots_ref, rank_ref)
+
+
+BLOCK_DEGREES = [(3, d) for d in range(1, 9)] + [(5, d) for d in range(1, 10)]
+
+
+@pytest.mark.parametrize("p,d", BLOCK_DEGREES, ids=lambda v: str(v))
+def test_hom_linkage_blocks_against_ext_closure(p, d):
+    # the Hom-only partition and the one-member test for semisimplicity
+    # against the Hom + Ext^1 closure and the End/Ext^1 test they replaced
+    cands = AQ.enumerate_degree_candidates(p, d)
+    blocks = AQ.partition_blocks(cands)
+    assert blocks == RB.partition_blocks(cands)
+    semisimple = [RB.block_is_semisimple(cands, b) for b in blocks]
+    assert [len(b) == 1 for b in blocks] == semisimple
+    assert AQ.count_non_semisimple_blocks(p, d) == semisimple.count(False)

@@ -8,8 +8,10 @@ sequence digests of the sl2 families were recorded before the isomorphism
 test and the sl2 projective cover were rewritten; the socle, top, borel and
 demo digests before the radical and socle were rewritten; the schur digest
 before the template matcher's search was replaced; the borel and ar digests
-before the elimination kernel updated only the rows it has to.  Run this
-file as a script to print the current ones.
+before the elimination kernel updated only the rows it has to; the p=5
+schur digest, whose two 28-member blocks a wrong partition would merge,
+before the blocks were read off Hom linkage alone.  Run this file as a
+script to print the current ones.
 """
 
 import contextlib
@@ -111,7 +113,8 @@ DEMOS = ["block_quiver_demo", "torsion_functor_demo", "borel_demo"]
 CLI_RUNS = ["--p 3 --seed 0 schur --d 9 --drop-projective-injective",
             "--p 5 --seed 0 borel --r 2 --d 8",
             "--p 3 --seed 0 borel --r 2 --d 8",
-            "--p 3 --seed 0 ar V(4) --max-ql 1 --max-tau 1 --emit dot"]
+            "--p 3 --seed 0 ar V(4) --max-ql 1 --max-tau 1 --emit dot",
+            "--p 5 --seed 0 schur --d 12 --drop-projective-injective"]
 
 
 def current_digests() -> dict[str, str]:
@@ -233,6 +236,7 @@ PINNED = {
     "grq --p 5 --seed 0 borel --r 2 --d 8": "59147fd534687144cf88698e35caea5906cf6604a9c6a813592ba61f61e21b26",
     "grq --p 3 --seed 0 borel --r 2 --d 8": "c336bd209a123ce545274e9516e1d7417c72236e924ee2ec516df1db05a12a92",
     "grq --p 3 --seed 0 ar V(4) --max-ql 1 --max-tau 1 --emit dot": "c3826e1fe9f5209a97aa427a1733b853e4c43d1bbe70d25e706872b0c822beb2",
+    "grq --p 5 --seed 0 schur --d 12 --drop-projective-injective": "0d57f399c4dd06b1384b0a1fa3698fb1a5679fcfc9e3ddf72c0df52605ff208a",
 }
 
 
