@@ -4,14 +4,14 @@ quivers Z[A_n]/<tau^m>, symmetry and shift-equivalence reports, DOT output."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import constructions, homological, polynomial
 from .constructions import FamilyLabel
-from .grmod import (AlgebraKind, GradedModule, contravariant_dual, decompose,
-                    hom_space, is_isomorphic, quotient, radical, shift, socle,
+from .grmod import (AlgebraKind, GradedModule, Weight, contravariant_dual,
+                    decompose, is_isomorphic, quotient, radical, shift, socle,
                     validate, zero_module)
 
 
@@ -386,27 +386,51 @@ class _UnionFind:
         return list(out.values())
 
 
+def composition_factors(m: GradedModule) -> list[Weight]:
+    """Highest weights of the composition factors of a G1T-module over sl2r1
+    (H acts on weight (x, y) by x - y), read off its weight multiset.
+
+    The characters of the simple G1T-modules are unitriangular (Jantzen,
+    II.9): the highest remaining weight (x, y) of the largest degree is the
+    highest weight of a factor L(a), a = x - y mod p, with the weights
+    (x - i, y + i) for i = 0..a, which are peeled off in turn.
+    """
+    p = m.algebra.p
+    left = Counter(m.weights)
+    out = []
+    while left:
+        x, y = max(left, key=lambda w: (w[0] + w[1], w[0]))
+        for i in range((x - y) % p + 1):
+            w = (x - i, y + i)
+            if not left[w]:
+                raise ValueError(f"support {sorted(m.support())}: no weight "
+                                 f"{w} for the factor at {(x, y)}")
+            left[w] -= 1
+            if not left[w]:
+                del left[w]
+        out.append((x, y))
+    return out
+
+
 def partition_blocks(cands: list[tuple[FamilyLabel, GradedModule]]
                      ) -> list[list[int]]:
-    """Blocks on candidate indices: the classes of the linkage
-    Hom(m_i, m_j) != 0 or Hom(m_j, m_i) != 0.
+    """Blocks on candidate indices: the classes of "the two candidates share
+    a composition factor".
 
     `cands` must list every indecomposable of its degree, as
     `enumerate_degree_candidates` returns it (`schur_block_quiver` raises
-    when a piece of its block is not a candidate).  Ext^1 then links
-    nothing more: every indecomposable has a nonzero map from an
-    indecomposable projective, and the projectives of one block are
-    Hom-linked.
+    when a piece of its block is not a candidate).  These are the classes of
+    the linkage Hom(m_i, m_j) != 0 or Hom(m_j, m_i) != 0: a nonzero map has
+    a common composition factor as its image, and an indecomposable with
+    composition factor S lies in the block of S.  Ext^1 then links nothing
+    more: every indecomposable has a nonzero map from an indecomposable
+    projective, and the projectives of one block are Hom-linked.
     """
-    n = len(cands)
-    uf = _UnionFind(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if uf.find(i) == uf.find(j):
-                continue
-            mi, mj = cands[i][1], cands[j][1]
-            if hom_space(mi, mj) or hom_space(mj, mi):
-                uf.union(i, j)
+    uf = _UnionFind(range(len(cands)))
+    holder: dict[Weight, int] = {}
+    for i, (_, m) in enumerate(cands):
+        for f in composition_factors(m):
+            uf.union(i, holder.setdefault(f, i))
     return sorted(uf.groups(), key=lambda g: str(cands[min(g)][0]))
 
 

@@ -101,7 +101,11 @@ def cmd_schur(args, out) -> int:
     q = arquiver.schur_block_quiver(args.p, args.d, args.seed_label)
     if args.drop_projective_injective:
         s = q.stable_part()
-        n = 2 * (args.d // args.p) + 1
+        # n follows the block's largest V, Vo or L parameter e, which is
+        # below d for a block shifted into degree d
+        e = max(v.label.d for v in q.vertices.values()
+                if v.label.family in ("V", "Vo", "L"))
+        n = 2 * (e // args.p) + 1
         match = arquiver.template_match(s, n, n)
         out.write(s.to_dot() if args.emit == "dot"
                   else json.dumps(s.to_json_dict()) + "\n")

@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grmod import (AlgebraKind, GradedModule, Weight, character_module,
-                    contravariant_dual, decompose, direct_sum, is_isomorphic,
-                    shift, submodule_span, top, weyl_twist)
+                    contravariant_dual, direct_sum, is_isomorphic, shift,
+                    submodule_from_subspace, submodule_span, top, weyl_twist)
 
 
 def sl2_algebra(p: int) -> AlgebraKind:
@@ -126,29 +126,33 @@ def _read_only(m: GradedModule) -> GradedModule:
 def projective_indec(p: int, a: int) -> GradedModule:
     """Q(a): graded projective indecomposable, normalized to top L(a)[(0,0)].
 
-    Obtained as the dim-2p direct summand with top L(a) of the projective
-    module St (x) L(p-1-a); the Steinberg module is projective and tensoring
-    preserves projectivity. The result is cached, so its arrays are
-    read-only.
+    For a <= p-2, the generalized eigenspace of the Casimir C = EF + FE +
+    H^2/2 for ((a+1)^2 - 1)/2 on the projective module St (x) L(b),
+    b = p-1-a.  That module is the sum of the tilting modules
+    T(p-1+b-2j), 0 <= j < b/2, and of St when b is even; C acts on
+    T(p-1+b-2j) with the single eigenvalue ((b-2j)^2 - 1)/2, distinct for
+    distinct j as 0 < b-2j < p, and T(2p-2-a) restricts to Q(a) (Jantzen,
+    II.E).  The dimension and the top are checked.  The result is cached,
+    so its arrays are read-only.
     """
     if not 0 <= a <= p - 1:
         raise ValueError(f"a must lie in [0, {p - 1}]")
     if a == p - 1:
         return _read_only(simple_hat(p, p - 1))
     big = sl2_tensor(simple_hat(p, p - 1), simple_hat(p, p - 1 - a))
-    for piece, _mult in decompose(big):
-        if piece.dim != 2 * p:
-            continue
-        t, _ = top(piece)
-        if t.dim != a + 1:
-            continue
-        mu = t.support_min()
-        cand = shift(piece, (-mu[0], -mu[1]))
-        tt, _ = top(cand)
-        if is_isomorphic(tt, simple_hat(p, a)) is not None:
-            return _read_only(cand)
-    raise RuntimeError(f"no summand with top L({a}) found in St (x) "
-                       f"L({p - 1 - a})")
+    ff, E, F, H = big.field, big.action["E"], big.action["F"], big.action["H"]
+    half = pow(2, p - 2, p)
+    casimir = (ff.matmul(E, F) + ff.matmul(F, E) + half * ff.matmul(H, H)
+               - ((a + 1) ** 2 - 1) * half * ff.eye(big.dim))
+    piece, _ = submodule_from_subspace(
+        big, ff.kernel_basis(ff.matpow(casimir, big.dim)))
+    t, _ = top(piece)
+    lam = (-t.support_min()[0], -t.support_min()[1])
+    if piece.dim != 2 * p or is_isomorphic(shift(t, lam),
+                                           simple_hat(p, a)) is None:
+        raise RuntimeError(f"the Casimir eigenspace of St (x) L({p - 1 - a}) "
+                           f"for L({a}) is not Q({a})")
+    return _read_only(shift(piece, lam))
 
 
 def regular_graded(p: int) -> GradedModule:

@@ -575,10 +575,10 @@ def quotient(m: GradedModule,
 # radical / socle / top
 
 
-def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
-    """Columns spanning, weight by weight, the vectors of an sl2r1-module
-    that generate simple submodules: the joint kernel of E and F^(a+1) with
-    a the eigenvalue of H on the weight space.
+def _highest_weight_kernel(m: GradedModule, idx: list[int]) -> np.ndarray:
+    """Coordinates, on the basis vectors idx of one weight space of an
+    sl2r1-module, of the vectors there that generate simple submodules: the
+    joint kernel of E and F^(a+1) with a the eigenvalue of H on the space.
 
     A weight vector v with E v = 0 and H v = a v generates a quotient of the
     baby Verma module Z(a) = span{F^i v}, and that quotient is the simple
@@ -586,13 +586,20 @@ def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
     from the weight: a shift by mu with mu0 != mu1 mod p keeps H.
     """
     ff = m.field
+    f_pow = m.action["F"][:, idx]
+    for _ in range(int(m.action["H"][idx[0], idx[0]])):
+        f_pow = ff.matmul(m.action["F"], f_pow)
+    return ff.kernel_basis(np.vstack([m.action["E"][:, idx], f_pow]))
+
+
+def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
+    """Columns spanning, weight by weight, the vectors of an sl2r1-module
+    that generate simple submodules (see `_highest_weight_kernel`)."""
+    ff = m.field
     cols = []
     for w in sorted(set(m.weights)):
         idx = m.weight_indices(w)
-        f_pow = m.action["F"][:, idx]
-        for _ in range(int(m.action["H"][idx[0], idx[0]])):
-            f_pow = ff.matmul(m.action["F"], f_pow)
-        kernel = ff.kernel_basis(np.vstack([m.action["E"][:, idx], f_pow]))
+        kernel = _highest_weight_kernel(m, idx)
         block = ff.zeros(m.dim, kernel.shape[1])
         block[idx] = kernel
         cols.append(block)

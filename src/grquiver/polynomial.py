@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions, homological
-from .grmod import (GradedModule, ModuleMap, Weight, dual, hom_space,
-                    is_polynomial_weight, quotient, submodule_from_subspace,
-                    submodule_span, weight_degree, zero_module)
+from .grmod import (GradedModule, ModuleMap, Weight, _highest_weight_kernel,
+                    dual, hom_space, is_polynomial_weight, quotient,
+                    submodule_from_subspace, submodule_span, weight_degree,
+                    zero_module)
 
 
 @dataclass
@@ -70,12 +71,32 @@ def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     return quotient(m, incl.matrix)
 
 
+def has_polynomial_simple(m: GradedModule) -> bool:
+    """True iff m has a simple submodule with polynomial support, that is,
+    iff t(m) != 0.
+
+    Over the borel algebra the simples are the characters: a vector at a
+    polynomial weight killed by every X_i.  Over sl2r1 a highest weight
+    vector at weight w on which H acts by a spans L(a), with weights
+    w - i(1, -1) for i = 0..a.
+    """
+    if m.algebra.kind == "borel":
+        good = [j for j in range(m.dim) if is_polynomial_weight(m.weights[j])]
+        rank = m.field.rank(np.vstack([m.action[g][:, good]
+                                       for g in m.algebra.generators()]))
+        return rank < len(good)
+    for x, y in dict.fromkeys(m.weights):
+        idx = m.weight_indices((x, y))
+        if (y >= 0 and x >= int(m.action["H"][idx[0], idx[0]])
+                and _highest_weight_kernel(m, idx).size):
+            return True
+    return False
+
+
 def ext_projective_in_poly(v: GradedModule) -> bool:
     """True iff v is projective over the ambient algebra or t(tau v) = 0."""
-    if homological.is_projective(v):
-        return True
-    t, _ = t_poly(homological.tau(v))
-    return t.dim == 0
+    return (homological.is_projective(v)
+            or not has_polynomial_simple(homological.tau(v)))
 
 
 def induced_sequence(seq: homological.ShortExact

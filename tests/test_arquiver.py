@@ -8,8 +8,8 @@ import pytest
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import polynomial as PY
-from grquiver.grmod import (borel_dual, character_module, contravariant_dual,
-                            is_isomorphic, shift)
+from grquiver.grmod import (GradedModule, borel_dual, character_module,
+                            contravariant_dual, is_isomorphic, shift)
 
 P = 3
 
@@ -118,6 +118,20 @@ class TestBlocks:
         assert all(PY.is_polynomial(m).degree == 3 for _, m in cands)
         names = {str(lab) for lab, _ in cands}
         assert "V(3)" in names and "W(3)" in names
+
+    def test_composition_factors(self):
+        # V(4) = [L(1)+(3,0) | L(0)+(2,2) | L(1)+(0,3)]; Q(0) has L(0)
+        # on top and in the socle, and L(1) twice in the heart
+        assert AQ.composition_factors(C.weyl_hat(P, 4)) == [
+            (4, 0), (2, 2), (1, 3)]
+        assert sorted(AQ.composition_factors(C.projective_indec(P, 0))) == [
+            (-1, 1), (0, 0), (0, 0), (2, -2)]
+
+    def test_composition_factors_need_whole_characters(self):
+        # weights (2, 0) and (0, 2) without (1, 1): no L(2) to peel
+        m = GradedModule(C.sl2_algebra(P), ((2, 0), (0, 2)), {})
+        with pytest.raises(ValueError, match=r"weight \(1, 1\)"):
+            AQ.composition_factors(m)
 
     def test_nonsemisimple_block_count(self):
         assert AQ.count_non_semisimple_blocks(P, 3) == 1

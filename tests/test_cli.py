@@ -77,6 +77,16 @@ class TestSchurAndAr:
         assert "digraph" in out
         assert "template Z[A_3]/tau^3: MATCH" in out
 
+    @pytest.mark.parametrize("d,label,n", [(11, "L(0)+(3,8)", 3),
+                                           (15, "L(1)+(12,2)", 5)])
+    def test_template_size_from_block_labels(self, capsys, d, label, n):
+        # shifted blocks: the largest V, Vo or L parameter of the block, not
+        # the degree, fixes the template (2 * (d // p) + 1 gives 5 and 7)
+        code, out = run(capsys, "--p", "5", "schur", "--d", str(d),
+                        "--seed-label", label, "--drop-projective-injective")
+        assert code == 0
+        assert out.splitlines()[-1] == f"template Z[A_{n}]/tau^{n}: MATCH"
+
     def test_ar_json(self, capsys):
         code, out = run(capsys, "--p", "3", "ar", "W(3)", "--max-ql", "1",
                         "--max-tau", "1", "--emit", "json")

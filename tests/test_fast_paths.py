@@ -2,6 +2,7 @@
 here (and in reference_gf) as the reference; results must be identical
 arrays, not merely equal spans."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ import reference_blocks as RB
 import reference_complexity as RC
 import reference_gf as R
 import reference_iso as RI
+import reference_projective as RP
 import reference_radical as RR
 import ungraded_oracle as UO
 from grquiver import arquiver as AQ
@@ -594,13 +596,91 @@ def test_rref_against_reference_loop(candidates, monkeypatch):
 BLOCK_DEGREES = [(3, d) for d in range(1, 9)] + [(5, d) for d in range(1, 10)]
 
 
+@functools.lru_cache(maxsize=None)
+def degree_candidates(p, d):
+    return AQ.enumerate_degree_candidates(p, d)
+
+
 @pytest.mark.parametrize("p,d", BLOCK_DEGREES, ids=lambda v: str(v))
 def test_hom_linkage_blocks_against_ext_closure(p, d):
-    # the Hom-only partition and the one-member test for semisimplicity
-    # against the Hom + Ext^1 closure and the End/Ext^1 test they replaced
-    cands = AQ.enumerate_degree_candidates(p, d)
+    # the partition and the one-member test for semisimplicity against the
+    # Hom + Ext^1 closure and the End/Ext^1 test they replaced
+    cands = degree_candidates(p, d)
     blocks = AQ.partition_blocks(cands)
     assert blocks == RB.partition_blocks(cands)
     semisimple = [RB.block_is_semisimple(cands, b) for b in blocks]
     assert [len(b) == 1 for b in blocks] == semisimple
     assert AQ.count_non_semisimple_blocks(p, d) == semisimple.count(False)
+
+
+def radical_layer_factors(m):
+    """Highest weights of the composition factors, read off the highest
+    weight vectors of the semisimple radical layers."""
+    out = []
+    while m.dim:
+        t, _ = top(m)
+        out += [t.weights[int(np.flatnonzero(col)[0])]
+                for col in G._highest_weight_vectors(t).T]
+        m = radical(m)[0]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p,d", BLOCK_DEGREES + [(7, 7), (7, 8), (7, 14)],
+                         ids=lambda v: str(v))
+def test_composition_factor_blocks_against_hom_linkage(p, d, monkeypatch):
+    cands = degree_candidates(p, d)
+    calls = []
+    monkeypatch.setattr(G, "_hom_space_cached", lambda *a: calls.append(a))
+    blocks = AQ.partition_blocks(cands)
+    assert calls == []  # no Hom space, computed or cached
+    monkeypatch.undo()
+    assert blocks == RB.hom_linkage_blocks(cands)
+    for _, m in cands:
+        assert sorted(AQ.composition_factors(m)) == radical_layer_factors(m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_casimir_projectives_against_decomposition(p):
+    for a in range(p):
+        q, ref = C.projective_indec(p, a), RP.projective_indec(p, a)
+        assert q.weights == ref.weights
+        assert q.action.keys() == ref.action.keys()
+        for g, mat in q.action.items():
+            assert mat.dtype == ref.action[g].dtype
+            assert mat.tobytes() == ref.action[g].tobytes()
+
+
+def ext_projectivity_inputs(candidates):
+    """The candidates, their contravariant duals, tau, tau^-1 and Omega;
+    over the borel algebra at p in {3, 5} the characters, free and standard
+    modules, syzygies of k and the outer tensors of acceptance criterion
+    11, with their duals, shifts and tau."""
+    for mods in candidates.values():
+        for m in mods:
+            yield from (m, G.contravariant_dual(m), H.tau(m), H.tau_inv(m),
+                        H.omega(m), G.shift(m, (-1, 0)))
+    for p in (3, 5):
+        alg = C.borel_algebra(p, 1)
+        k = G.character_module(alg, (0, 0))
+        mods = [k, G.character_module(alg, (2, 1)),
+                C.borel_projective((1, 0), alg), H.omega(k),
+                H.omega_pow(k, 2), *outer_tensors(p)]
+        mods += [polynomial.standard_module((lam, d - lam), alg)
+                 for d in range(5) for lam in range(d + 1)]
+        for m in mods:
+            yield from (m, G.dual(m), G.shift(m, (-1, 0)),
+                        G.shift(m, (0, -1)), H.tau(m))
+
+
+def test_polynomial_socle_against_t_fixpoint(candidates):
+    verdicts = [(polynomial.has_polynomial_simple(m),
+                 polynomial.t_poly(m)[0].dim != 0)
+                for m in ext_projectivity_inputs(candidates)]
+    assert all(fast == slow for fast, slow in verdicts)
+    assert 0 < sum(slow for _, slow in verdicts) < len(verdicts)
+    for mods in candidates.values():
+        for m in mods:
+            for v in (m, G.contravariant_dual(m)):
+                assert polynomial.ext_projective_in_poly(v) == (
+                    H.is_projective(v)
+                    or polynomial.t_poly(H.tau(v))[0].dim == 0)

@@ -2,12 +2,14 @@
 and reproduce known resolution growth before it is trusted elsewhere."""
 
 import numpy as np
+import pytest
 
 from grquiver import constructions as C
 from grquiver import homological as H
 from grquiver.grmod import ModuleMap, character_module, direct_sum, shift
 
-from ungraded_oracle import (has_ungraded_section, hom_basis_ungraded,
+from ungraded_oracle import (_projective_action, _top_content,
+                             has_ungraded_section, hom_basis_ungraded,
                              ungraded_resolution_dims)
 
 P = 3
@@ -45,6 +47,17 @@ class TestResolutionOracle:
     def test_projective_resolves_in_one_step(self):
         q = C.projective_indec(P, 0)
         assert ungraded_resolution_dims(q, 4) == [2 * P, 0, 0, 0]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_own_projectives_have_dim_2p_and_top_la(self, p):
+        # a quotient of Q(a) of dimension dim Q(a) is Q(a)
+        alg = C.sl2_algebra(p)
+        for a in range(p):
+            act = _projective_action(p, a)
+            dim = act["E"].shape[0]
+            assert dim == (p if a == p - 1 else 2 * p)
+            assert _top_content(alg, act, dim) == [int(b == a)
+                                                   for b in range(p)]
 
     def test_shift_invariance(self):
         # forgetting the grading makes shifts irrelevant

@@ -3,8 +3,9 @@
 Works with raw action matrices only (all weight data discarded) so that
 resolution dimensions and section-existence questions can be answered
 without reusing any of the graded machinery under test. Its linear algebra
-is the reference loop elimination of `reference_gf` and plain numpy; from
-grquiver it takes only the simple and projective modules it covers with.
+is the reference loop elimination of `reference_gf` and plain numpy.  The
+sl2 simples and projectives it covers with are built here from the raw
+matrices of V(d); from grquiver it takes only the borel free module.
 """
 
 from __future__ import annotations
@@ -29,13 +30,49 @@ def hom_basis_ungraded(p: int, src: dict, tgt: dict,
     return [ker[:, j].reshape(n, m).T for j in range(ker.shape[1])]
 
 
+def _weyl_action(p: int, d: int) -> dict:
+    """V(d) on v_0..v_d: E v_i = (i+1) v_{i+1}, F v_i = (d-i+1) v_{i-1},
+    H v_i = (2i-d) v_i."""
+    n = d + 1
+    act = {g: np.zeros((n, n), dtype=np.int64) for g in ("E", "F", "H")}
+    for i in range(n):
+        if i + 1 < n:
+            act["E"][i + 1, i] = (i + 1) % p
+        if i > 0:
+            act["F"][i - 1, i] = (d - i + 1) % p
+        act["H"][i, i] = (2 * i - d) % p
+    return act
+
+
+def _projective_action(p: int, a: int) -> dict:
+    """Un-graded Q(a): St = V(p-1) for a = p-1; otherwise the generalized
+    eigenspace of the Casimir EF + FE + H^2/2 for ((a+1)^2 - 1)/2 on
+    St (x) V(p-1-a), with the action restricted to it."""
+    st = _weyl_action(p, p - 1)
+    if a == p - 1:
+        return st
+    low = _weyl_action(p, p - 1 - a)
+    n = p * (p - a)
+    big = {g: (np.kron(st[g], np.eye(p - a, dtype=np.int64))
+               + np.kron(np.eye(p, dtype=np.int64), low[g])) % p
+           for g in st}
+    half = pow(2, p - 2, p)
+    c = ((a + 1) ** 2 - 1) * half % p
+    E, F, H = big["E"], big["F"], big["H"]
+    casimir = (R.matmul(p, E, F) + R.matmul(p, F, E) + half * R.matmul(p, H, H)
+               - c * np.eye(n, dtype=np.int64)) % p
+    basis = R.kernel_basis(p, R.matpow(p, casimir, n))
+    assert basis.shape[1] == 2 * p, f"Casimir eigenspace of Q({a})"
+    return {g: R.solve_matrix(p, basis, R.matmul(p, mat, basis))
+            for g, mat in big.items()}
+
+
 def _simples(alg) -> list[tuple[int, dict]]:
     """(dimension, action) of each simple module, forgetting the grading."""
     if alg.kind == "borel":
         return [(1, {g: np.zeros((1, 1), dtype=np.int64)
                      for g in alg.generators()})]
-    return [(a + 1, constructions.simple_hat(alg.p, a).action)
-            for a in range(alg.p)]
+    return [(a + 1, _weyl_action(alg.p, a)) for a in range(alg.p)]
 
 
 def _top_content(alg, action: dict, dim: int) -> list[int]:
@@ -75,14 +112,14 @@ def ungraded_resolution_dims(module: GradedModule, n_terms: int,
             continue
         content = _top_content(alg, action, dim)
         if alg.kind == "borel":
-            covers = [constructions.borel_projective((0, 0), alg)] * content[0]
+            covers = ([constructions.borel_projective((0, 0), alg).action]
+                      * content[0])
         else:
-            covers = [constructions.projective_indec(p, a)
+            covers = [_projective_action(p, a)
                       for a in range(p - 1, -1, -1)
                       for _ in range(content[a])]
-        p_action = {g: _stack_blocks([c.action[g] for c in covers])
-                    for g in gens}
-        p_dim = sum(c.dim for c in covers)
+        p_action = {g: _stack_blocks([c[g] for c in covers]) for g in gens}
+        p_dim = p_action[gens[0]].shape[0]
         basis = hom_basis_ungraded(p, p_action, action, gens, p_dim, dim)
         cover = _find_surjection(p, basis, dim, rng)
         assert cover is not None, "no surjective map from the candidate cover"
