@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import arquiver, constructions, homological, polynomial
 from .grmod import (GradedModule, character_module, contravariant_dual, dual,
@@ -118,6 +119,8 @@ def cmd_schur(args, out) -> int:
 
 
 def cmd_borel(args, out) -> int:
+    if args.d < 0:
+        raise ValueError(f"--d must be >= 0, got {args.d}")
     reports = polynomial.quasi_hereditary_check(args.p, args.r, args.d)
     ok = True
     for rep in reports:
@@ -204,6 +207,7 @@ def cmd_check(args, out) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="grq",

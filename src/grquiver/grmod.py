@@ -52,6 +52,11 @@ class AlgebraKind:
         if self.kind not in ("sl2r1", "borel"):
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         PrimeField(self.p)  # validates p
+        if self.kind == "borel":
+            for name in ("r", "offset"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"borel algebra needs {name} >= 1, "
+                                     f"got {getattr(self, name)}")
 
     @property
     def field(self) -> PrimeField:
@@ -440,28 +445,19 @@ def _weight_component_basis(m: GradedModule,
     """Basis (as columns) of the span of the weight components of the
     columns, each basis column a weight vector of m.
 
-    For each weight in sorted order, the components of that weight are
-    taken in column order and their pivot columns kept; blocks of different
-    weights have disjoint supports, so the result is independent.
+    The nonzero components are the columns of one block-diagonal matrix,
+    weight-major in sorted weight order and in column order within a
+    weight, and its pivot columns are kept.  Blocks of different weights
+    have disjoint row supports, so a component is independent of the
+    earlier ones exactly when it is of the earlier ones of its own weight:
+    one elimination keeps what one elimination per weight would.
     """
-    ff = m.field
-    order = sorted(set(m.weights))
-    index = {w: t for t, w in enumerate(order)}
-    wid = np.array([index[w] for w in m.weights], dtype=np.int64)
-    cols = []
-    for t in range(len(order)):
-        rows = np.flatnonzero(wid == t)
-        sub = vectors[rows]
-        sub = sub[:, sub.any(axis=0)]
-        if sub.shape[1] == 0:
-            continue
-        _, pivots, _ = ff.rref(sub)
-        block = ff.zeros(m.dim, len(pivots))
-        block[rows] = sub[:, pivots]
-        cols.append(block)
-    if not cols:
-        return ff.zeros(m.dim, 0)
-    return np.hstack(cols)
+    order = {w: t for t, w in enumerate(sorted(set(m.weights)))}
+    wid = np.array([order[w] for w in m.weights], dtype=np.int64)
+    onehot = wid[None, :] == np.arange(len(order))[:, None]
+    ts, cs = np.nonzero(onehot.astype(np.int64) @ (vectors != 0))
+    comp = np.where(wid[:, None] == ts[None, :], vectors[:, cs], 0)
+    return comp[:, m.field.rref(comp)[1]]
 
 
 def homogenize_columns(m: GradedModule, basis: np.ndarray) -> np.ndarray:
@@ -552,14 +548,22 @@ def quotient(m: GradedModule,
     if sub_basis.shape[1] == 0:
         q = GradedModule(m.algebra, m.weights, dict(m.action))
         return q, ModuleMap(m, q, ff.eye(m.dim))
-    basis = homogenize_columns(m, ff.reduce(sub_basis))
+    basis = ff.reduce(sub_basis)
     k = basis.shape[1]
-    # rref([basis | I]) = [[I_k; 0] | T] with T = [basis | e_chosen]^-1:
-    # the pivots past the basis are the first standard vectors completing
-    # it, and the last rows of T are the coordinates on those vectors
+    # in rref([basis | I]) the s pivots inside the basis part give its rank;
+    # the later pivots are the first standard vectors completing the span,
+    # and the rows past s are the echelon basis of its annihilator, which
+    # depends on the span alone and gives the coordinates on those vectors
     r, pivots, _ = ff.rref(np.hstack([basis, ff.eye(m.dim)]))
-    chosen = [c - k for c in pivots[k:]]
-    proj = r[k:, k:]
+    s = sum(c < k for c in pivots)
+    chosen = [c - k for c in pivots[s:]]
+    proj = r[s:, k:]
+    # the span is graded iff its annihilator is, iff every echelon row of
+    # the annihilator is a weight vector
+    wts = np.array(m.weights).reshape(-1, 2)
+    rows, cols = np.nonzero(proj)
+    if np.any(wts[cols] != wts[np.array(chosen, dtype=np.int64)[rows]]):
+        raise ValueError("subspace is not graded")  # constraint, not expected
     action = {}
     for g in m.algebra.generators():
         if np.any(ff.matmul(proj, ff.matmul(m.action[g], basis))):

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions, homological
-from .grmod import (GradedModule, ModuleMap, Weight, _highest_weight_kernel,
-                    dual, hom_space, is_polynomial_weight, quotient,
-                    submodule_from_subspace, submodule_span, weight_degree,
-                    zero_module)
+from .grmod import (GradedModule, ModuleMap, Weight, _closure_basis,
+                    _highest_weight_kernel, dual, hom_space,
+                    is_polynomial_weight, quotient, submodule_from_subspace,
+                    weight_degree, zero_module)
 
 
 @dataclass
@@ -62,13 +62,7 @@ def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     if not bad:
         q = GradedModule(m.algebra, m.weights, dict(m.action))
         return q, ModuleMap(m, q, m.field.eye(m.dim))
-    gens = []
-    for j in bad:
-        e = np.zeros(m.dim, dtype=np.int64)
-        e[j] = 1
-        gens.append(e)
-    sub, incl = submodule_span(m, gens)
-    return quotient(m, incl.matrix)
+    return quotient(m, _closure_basis(m, m.field.eye(m.dim)[:, bad]))
 
 
 def has_polynomial_simple(m: GradedModule) -> bool:

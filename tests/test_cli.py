@@ -193,10 +193,59 @@ class TestInputErrors:
         err = self.assert_usage_error(capsys, *argv)
         assert "H does not act as (a-b) mod p" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "3", "borel", "--r", "0", "--d", "2"],
+        ["--p", "3", "module", "Z(0,0)@r=0"],
+    ], ids=["borel-r0", "label-r0"])
+    def test_borel_algebra_without_generators(self, capsys, argv):
+        err = self.assert_usage_error(capsys, *argv)
+        assert "borel algebra needs r >= 1, got 0" in err
+
+    def test_borel_file_without_generators(self, capsys, tmp_path):
+        def no_variables(d):
+            d["algebra"]["r"] = 0
+            return json.dumps(d)
+        f = self.module_file(capsys, tmp_path, no_variables,
+                             label="Z(0,0)@r=1")
+        err = self.assert_usage_error(capsys, "--p", "3", "module", f)
+        assert "borel algebra needs r >= 1, got 0" in err
+
+    def test_negative_borel_degree(self, capsys):
+        err = self.assert_usage_error(capsys, "--p", "3", "borel", "--d",
+                                      "-1")
+        assert "--d must be >= 0, got -1" in err
+
     def test_decomposable_schur_seed(self, capsys):
         # V(5) splits at p=3 since 5 = p - 1 mod p
         err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d", "5")
         assert "V(5)" in err and "--seed-label" in err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; later calls, usage errors
+    and --help included, print and return what a first call does."""
+
+    ARGVS = [["--p", "3", "module", "W(3)"], ["--p", "3", "bogus"],
+             ["--help"], ["--p", "3", "borel", "--d", "2"],
+             ["--p", "5", "functor", "top", "V(6)"], ["--p", "3"],
+             ["--p", "3", "module", "W(3)"]]
+
+    def outcome(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_calls_match_first_calls(self, capsys):
+        first = []
+        for argv in self.ARGVS:
+            cli.build_parser.cache_clear()
+            first.append(self.outcome(capsys, argv))
+        assert [code for code, _, _ in first] == [0, 2, 0, 0, 0, 2, 0]
+        assert "usage: grq" in first[2][1]
+        cli.build_parser.cache_clear()
+        again = [self.outcome(capsys, argv) for argv in self.ARGVS]
+        assert again == first
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestInternalErrors:

@@ -11,6 +11,7 @@ import pytest
 import reference_blocks as RB
 import reference_complexity as RC
 import reference_gf as R
+import reference_graded as RG
 import reference_iso as RI
 import reference_projective as RP
 import reference_radical as RR
@@ -684,3 +685,88 @@ def test_polynomial_socle_against_t_fixpoint(candidates):
                 assert polynomial.ext_projective_in_poly(v) == (
                     H.is_projective(v)
                     or polynomial.t_poly(H.tau(v))[0].dim == 0)
+
+
+def borel_graded_modules():
+    """Over (p, r) in {3, 5} x {1, 2}: the free modules Z_r(lambda) of
+    degree <= 8, Omega^k k for k = 1..3 and, at r = 2, the outer tensors of
+    acceptance criterion 11."""
+    for p, r in itertools.product((3, 5), (1, 2)):
+        alg = C.borel_algebra(p, r)
+        k = G.character_module(alg, (0, 0))
+        yield from (C.borel_projective((lam, d - lam), alg)
+                    for d in range(9) for lam in range(d + 1))
+        yield from (H.omega_pow(k, i) for i in (1, 2, 3))
+        if r == 2:
+            yield from outer_tensors(p)
+
+
+@pytest.fixture(scope="module")
+def graded_calls(candidates, covers):
+    """Every input of `_weight_component_basis`, `quotient` and `u_poly`
+    met while computing radicals, socles, tops, Omega, t and u of the
+    candidates, their covers, the borel modules and their duals (the free
+    modules' u are the standard modules), and the almost split sequences
+    ending at the r = 2 borel modules and the candidates of p=3 d=4, whose
+    pushouts are the quotients met last."""
+    seen = {"components": [], "quotient": []}
+    real_components, real_quotient = G._weight_component_basis, G.quotient
+
+    def components(m, vectors):
+        seen["components"].append((m, vectors.copy()))
+        return real_components(m, vectors)
+
+    def quotient_(m, sub):
+        seen["quotient"].append((m, sub.copy()))
+        return real_quotient(m, sub)
+    sl2 = [m for mods in list(candidates.values()) + list(covers.values())
+           for m in mods]
+    borel = list(borel_graded_modules())
+    seen["u"] = sl2 + borel + [G.dual(m) for m in borel]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "_weight_component_basis", components)
+        for module in (G, H, AQ, polynomial):
+            mp.setattr(module, "quotient", quotient_)
+        clear_caches()  # Hom, splits and Omega must compute, not hit a cache
+        for m in seen["u"]:
+            for build in (radical, socle, top, H.omega_with_maps,
+                          polynomial.t_poly, polynomial.u_poly):
+                build(m)
+        ends = [m for m in [b for b in borel if b.algebra.r == 2]
+                + candidates[(3, 4)] if not H.is_projective(m)]
+        start = len(seen["quotient"])
+        for m in ends:
+            H.almost_split_sequence(m)
+        seen["pushout"] = seen["quotient"][start:]
+    seen["sequences"] = len(ends)
+    return seen
+
+
+def assert_same_quotient(fast, slow):
+    (q, proj), (q_ref, proj_ref) = fast, slow
+    assert q.weights == q_ref.weights
+    assert summand_bytes([(q, proj.matrix)]) == summand_bytes(
+        [(q_ref, proj_ref.matrix)])
+
+
+def test_component_basis_against_per_weight_eliminations(graded_calls):
+    calls = graded_calls["components"]
+    assert len(calls) > 2000
+    for m, vectors in calls:
+        assert basis_bytes([G._weight_component_basis(m, vectors)]) == (
+            basis_bytes([RG.weight_component_basis(m, vectors)]))
+
+
+def test_quotient_against_homogenizing_quotient(graded_calls):
+    calls = graded_calls["quotient"]
+    assert len(calls) > 1000
+    assert len(graded_calls["pushout"]) >= graded_calls["sequences"] > 10
+    for m, sub in calls:
+        assert_same_quotient(quotient(m, sub), RG.quotient(m, sub))
+
+
+def test_u_poly_against_submodule_route(graded_calls):
+    mods = graded_calls["u"]
+    assert sum(m.algebra.kind == "borel" for m in mods) > 300
+    for m in mods:
+        assert_same_quotient(polynomial.u_poly(m), RG.u_poly(m))

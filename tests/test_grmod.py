@@ -14,8 +14,8 @@ from grquiver.grmod import (GradedModule, ModuleMap, borel_dual,
                             character_module, contravariant_dual, decompose,
                             degree_decompose, direct_sum, hom_space,
                             is_isomorphic, quotient, radical, shift, socle,
-                            submodule_span, top, validate, weyl_twist,
-                            zero_module)
+                            submodule_from_subspace, submodule_span, top,
+                            validate, weyl_twist, zero_module)
 
 
 P = 3
@@ -132,6 +132,25 @@ class TestSubquotients:
         q, proj = quotient(v6, incl.matrix)
         assert q.dim == v6.dim - sub.dim
         assert proj.check() == []
+
+    def test_non_graded_span_is_rejected(self):
+        # e1 + e2 in L(0) + L(0)[(3, 0)] is killed by the action, so its
+        # span is invariant, but its weight components are not in it
+        m = direct_sum([C.simple_hat(P, 0),
+                        shift(C.simple_hat(P, 0), (3, 0))])
+        span = np.array([[1], [1]], dtype=np.int64)
+        for build in (quotient, submodule_from_subspace):
+            with pytest.raises(ValueError, match="subspace is not graded"):
+                build(m, span)
+
+    def test_non_invariant_span_is_rejected(self, v6):
+        # the lowest weight vector of V(6) is not killed by E
+        low = v6.weights.index(min(v6.weights))
+        span = np.eye(v6.dim, dtype=np.int64)[:, [low]]
+        with pytest.raises(ValueError, match="submodule not closed under E"):
+            quotient(v6, span)
+        with pytest.raises(ValueError, match="basis not invariant"):
+            submodule_from_subspace(v6, span)
 
     def test_degree_decompose(self):
         m = direct_sum([C.weyl_hat(P, 2), C.weyl_hat(P, 4)])
@@ -252,6 +271,13 @@ class TestSerialization:
         d["action"]["F"] = bad
         with pytest.raises(ValueError,
                            match=r"field 'action.F' is not a 7 x 7 matrix"):
+            GradedModule.from_json_dict(d)
+
+    @pytest.mark.parametrize("field", ["r", "offset"])
+    def test_borel_algebra_needs_a_generator(self, field):
+        d = {"algebra": {"kind": "borel", "p": 3, field: 0}, "dim": 1,
+             "weights": [[0, 0]], "action": {}}
+        with pytest.raises(ValueError, match=f"needs {field} >= 1, got 0"):
             GradedModule.from_json_dict(d)
 
     def test_character_module_weights(self):
