@@ -7,7 +7,7 @@ polynomial submodule, which is again a member of the known families.
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import polynomial as PY
-from grquiver.grmod import contravariant_dual, shift
+from grquiver.grmod import dual, shift
 
 P = 3
 
@@ -27,9 +27,9 @@ def main() -> None:
     # the duality law u(m) = (t(m^o))^o
     m = shift(C.weyl_hat(P, 6), (0, -P))
     u, _ = PY.u_poly(m)
-    t, _ = PY.t_poly(contravariant_dual(m))
+    t, _ = PY.t_poly(dual(m))
     print("\nu(V(6)+(0,-3)) identified as", AQ.identify(u))
-    print("(t(dual))^o identified as", AQ.identify(contravariant_dual(t)))
+    print("(t(dual))^o identified as", AQ.identify(dual(t)))
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 from . import constructions, homological, polynomial
 from .constructions import FamilyLabel
-from .grmod import (AlgebraKind, GradedModule, Weight, contravariant_dual,
-                    decompose, is_isomorphic, quotient, radical, shift, socle,
-                    validate, zero_module)
+from .grmod import (AlgebraKind, GradedModule, Weight, decompose, dual,
+                    is_isomorphic, quotient, radical, shift, socle, validate,
+                    zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,14 @@ def explore_component(seed: GradedModule, max_ql: int = 3,
     the tau and tau-inverse directions up to max_tau steps and climbing at
     most max_ql quasi-length levels above the seed.
     """
-    if seed.dim == 0 or homological.is_projective(seed):
-        raise ValueError("seed must be indecomposable non-projective")
+    if max_ql < 0 or max_tau < 0:
+        raise ValueError(f"bounds must be >= 0, got max_ql={max_ql} and "
+                         f"max_tau={max_tau}")
+    if ([mult for _, mult in decompose(seed)] != [1]
+            or homological.is_projective(seed)):
+        raise ValueError(f"seed of dim {seed.dim} and support "
+                         f"{sorted(seed.support())} must be indecomposable "
+                         "and non-projective")
     q = ARQuiver()
     name0 = q.add_module(seed)
     coords = {name0: (0, 0)}  # (tau steps, ql climb)
@@ -450,6 +456,9 @@ def schur_block_quiver(p: int, d: int,
     if isinstance(block_seed, str):
         block_seed = constructions.parse_label(block_seed)
     seed_mod = block_seed.build(p)
+    if seed_mod.algebra.kind != "sl2r1":
+        raise ValueError(f"seed {block_seed} is a borel module; the degree-d "
+                         "blocks are those of G1T-modules")
     errs = validate(seed_mod)
     if errs:
         raise ValueError(f"seed {block_seed} is not a G1T-module: {errs[0]}")
@@ -469,12 +478,11 @@ def schur_block_quiver(p: int, d: int,
     q = ARQuiver()
     for i in sorted(block, key=lambda i: str(cands[i][0])):
         lab, m = cands[i]
-        # m is Ext-injective iff its contravariant dual is Ext-projective
+        # m is Ext-injective iff its dual is Ext-projective
         q.vertices[str(lab)] = VertexLabel(
             str(lab), lab, m, simple=lab.family == "L", ql=lab.ql(p),
             projective_in_poly=polynomial.ext_projective_in_poly(m),
-            injective_in_poly=polynomial.ext_projective_in_poly(
-                contravariant_dual(m)))
+            injective_in_poly=polynomial.ext_projective_in_poly(dual(m)))
 
     def vertex(piece: GradedModule) -> str:
         found = q.find_vertex(piece)
@@ -628,7 +636,7 @@ def column_symmetry_check(q: ARQuiver) -> dict:
     for name, v in q.vertices.items():
         if v.module.algebra.kind != "sl2r1":
             return {"applicable": False, "reason": "borel backend"}
-        dual_of[name] = q.find_vertex(contravariant_dual(v.module))
+        dual_of[name] = q.find_vertex(dual(v.module))
     self_dual = sorted(n for n, d in dual_of.items() if d == n)
     if not self_dual:
         return {"applicable": False, "reason": "no self-dual vertex"}

@@ -14,8 +14,8 @@ import sys
 from functools import lru_cache
 
 from . import arquiver, constructions, homological, polynomial
-from .grmod import (GradedModule, character_module, contravariant_dual, dual,
-                    is_isomorphic, shift, socle, top, validate, weyl_twist)
+from .grmod import (GradedModule, character_module, dual, is_isomorphic,
+                    shift, socle, top, validate, weyl_twist)
 
 
 def _seed_from(args) -> int:
@@ -145,8 +145,7 @@ def _suite_core(p: int) -> list[tuple[str, bool]]:
     checks.append(("weyl-family validates", ok))
     w = C.w_hat(p, p)
     checks.append(("dual involution",
-                   is_isomorphic(contravariant_dual(contravariant_dual(w)), w)
-                   is not None))
+                   is_isomorphic(dual(dual(w)), w) is not None))
     checks.append(("twist involution",
                    is_isomorphic(weyl_twist(weyl_twist(w)), w) is not None))
     checks.append(("omega vanishes on projectives",

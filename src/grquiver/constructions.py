@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grmod import (AlgebraKind, GradedModule, Weight, character_module,
-                    contravariant_dual, direct_sum, is_isomorphic, shift,
+                    direct_sum, dual, is_isomorphic, shift,
                     submodule_from_subspace, submodule_span, top, weyl_twist)
 
 
@@ -56,7 +56,7 @@ def weyl_hat(p: int, d: int) -> GradedModule:
 
 
 def weyl_hat_dual(p: int, d: int) -> GradedModule:
-    return contravariant_dual(weyl_hat(p, d))
+    return dual(weyl_hat(p, d))
 
 
 def simple_hat(p: int, r: int) -> GradedModule:

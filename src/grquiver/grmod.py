@@ -389,29 +389,16 @@ def _shift_class(m: GradedModule, mu: Weight | None = None
             _packed_action(m).tobytes())
 
 
-def contravariant_dual(m: GradedModule) -> GradedModule:
-    """m^o: transposition anti-automorphism; weight multiset preserved."""
-    if m.algebra.kind != "sl2r1":
-        raise ValueError("contravariant_dual requires the sl2r1 backend; "
-                         "use borel_dual for the borel backend")
-    action = {"E": m.action["F"].T.copy(),
-              "F": m.action["E"].T.copy(),
-              "H": m.action["H"].T.copy()}
-    return GradedModule(m.algebra, m.weights, action)
-
-
-def borel_dual(m: GradedModule) -> GradedModule:
-    """Dual over the opposite weight convention of the borel backend."""
-    if m.algebra.kind != "borel":
-        raise ValueError("borel_dual requires the borel backend")
-    alg = replace(m.algebra, raising=not m.algebra.raising)
-    action = {g: m.action[g].T.copy() for g in m.algebra.generators()}
-    return GradedModule(alg, m.weights, action)
-
-
 def dual(m: GradedModule) -> GradedModule:
-    """The duality of m's backend: contravariant (sl2r1) or borel."""
-    return contravariant_dual(m) if m.algebra.kind == "sl2r1" else borel_dual(m)
+    """m^o: the action transposed for the pairing (x, y) -> x^T y, weights
+    kept.  Over sl2r1 E and F swap; a borel dual lives over the opposite
+    weight convention."""
+    alg, swap = m.algebra, {"E": "F", "F": "E"}
+    if alg.kind == "borel":
+        alg = replace(alg, raising=not alg.raising)
+    action = {g: m.action[swap.get(g, g)].T.copy()
+              for g in m.algebra.generators()}
+    return GradedModule(alg, m.weights, action)
 
 
 def weyl_twist(m: GradedModule) -> GradedModule:

@@ -89,32 +89,17 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
         assert pre is not None
         reps = np.where([[wi == w for w in t.weights] for wi in m.weights],
                         pre, 0)
-        # epi: monomial basis of each free summand maps to action * rep
-        cols = []
-        gens = m.algebra.generators()
-        for j, z in enumerate(covers):
-            col_block = np.zeros((m.dim, z.dim), dtype=np.int64)
-            # walk the free module: z basis vector c reached from generator
-            # applications; reconstruct by following z's action matrices
-            col_block[:, 0] = reps[:, j]
-            pending = [0]
-            seen = {0}
-            while pending:
-                i = pending.pop()
-                for g in gens:
-                    col = z.action[g][:, i]
-                    nz = np.flatnonzero(col)
-                    if nz.size == 0:
-                        continue
-                    k = int(nz[0])
-                    if k not in seen:
-                        col_block[:, k] = ff.matmul(
-                            m.action[g], col_block[:, i]) * int(col[k]) % ff.p
-                        seen.add(k)
-                        pending.append(k)
-            cols.append(col_block)
-        epi_mat = np.hstack(cols)
-        epi = ModuleMap(P, m, epi_mat)
+        # Z(w) has the monomials X^c as basis, c in lexicographic order, and
+        # every nonzero action entry is 1; the X_i commute, so the epi
+        # sends X^c to X^c rep.  Powers of the last variable vary fastest.
+        cols = reps[:, :, None]
+        for g in reversed(m.algebra.generators()):
+            powers = [cols]
+            for _ in range(m.algebra.p - 1):
+                powers.append(ff.matmul(m.action[g], powers[-1].reshape(
+                    m.dim, -1)).reshape(cols.shape))
+            cols = np.concatenate(powers, axis=2)
+        epi = ModuleMap(P, m, cols.reshape(m.dim, -1))
         if not epi.is_surjective():
             raise RuntimeError("borel cover construction failed to surject")
         return P, epi

@@ -28,41 +28,25 @@ def is_polynomial(m: GradedModule) -> PolyVerdict:
     return PolyVerdict(not bad, list(bad), m.degree())
 
 
-def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
-    """Largest homogeneous submodule with polynomial support.
+def _nonpolynomial_closure(m: GradedModule) -> np.ndarray:
+    """Weight-vector basis of the submodule generated by the weight spaces
+    of non-polynomial weight."""
+    bad = [j for j in range(m.dim) if not is_polynomial_weight(m.weights[j])]
+    return _closure_basis(m, m.field.eye(m.dim)[:, bad])
 
-    Fixpoint shrink: start from the span of the polynomial weight spaces and
-    repeatedly cut to vectors kept inside by every generator.
-    """
-    ff = m.field
-    good = [j for j in range(m.dim) if is_polynomial_weight(m.weights[j])]
-    basis = np.zeros((m.dim, len(good)), dtype=np.int64)
-    for t, j in enumerate(good):
-        basis[j, t] = 1
-    gens = m.algebra.generators()
-    while basis.shape[1] > 0:
-        ann = ff.kernel_basis(basis.T).T  # rows; v in span iff ann @ v = 0
-        if ann.shape[0] == 0:
-            break  # span is everything invariant trivially
-        rows = [ff.matmul(ann, ff.matmul(m.action[g], basis)) for g in gens]
-        stacked = np.vstack(rows)
-        if not np.any(stacked):
-            break
-        coords = ff.kernel_basis(stacked)
-        if coords.shape[1] == basis.shape[1]:
-            break
-        basis = ff.matmul(basis, coords)
-    return submodule_from_subspace(m, basis)
+
+def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
+    """Largest homogeneous submodule with polynomial support: t(m) = u(m^o)^o,
+    the annihilator of the non-polynomial closure of the dual under the
+    pairing (x, y) -> x^T y."""
+    closure = _nonpolynomial_closure(dual(m))
+    return submodule_from_subspace(m, m.field.kernel_basis(closure.T))
 
 
 def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Largest polynomial quotient: divide by the submodule generated by the
     non-polynomial weight spaces."""
-    bad = [j for j in range(m.dim) if not is_polynomial_weight(m.weights[j])]
-    if not bad:
-        q = GradedModule(m.algebra, m.weights, dict(m.action))
-        return q, ModuleMap(m, q, m.field.eye(m.dim))
-    return quotient(m, _closure_basis(m, m.field.eye(m.dim)[:, bad]))
+    return quotient(m, _nonpolynomial_closure(m))
 
 
 def has_polynomial_simple(m: GradedModule) -> bool:
@@ -167,32 +151,10 @@ def poly_projective_resolution(v: GradedModule, n: int) -> list[GradedModule]:
     return terms
 
 
-def poly_injective_hull(v: GradedModule) -> tuple[GradedModule, ModuleMap]:
-    """Hull of v inside the polynomial category: t of the ambient injective
-    hull with the induced mono."""
-    ff = v.field
-    dv = dual(v)
-    Pd, epid = homological.projective_cover(dv)
-    I = dual(Pd)
-    mono = ModuleMap(v, I, epid.matrix.T)
-    tI, incl = t_poly(I)
-    coords = ff.solve_matrix(incl.matrix, mono.matrix)
-    if coords is None:
-        raise RuntimeError("image of v does not land in t of the hull")
-    return tI, ModuleMap(v, tI, coords)
-
-
 def poly_injective_resolution(v: GradedModule, n: int) -> list[GradedModule]:
-    terms = []
-    cur = v
-    for _ in range(n):
-        if cur.dim == 0:
-            terms.append(zero_module(v.algebra))
-            continue
-        I, mono = poly_injective_hull(cur)
-        terms.append(I)
-        cur, _ = quotient(I, mono.matrix)
-    return terms
+    """First n terms of a minimal injective resolution inside the
+    polynomial category: the duals of the projective resolution of v^o."""
+    return [dual(t) for t in poly_projective_resolution(dual(v), n)]
 
 
 def pd_in_poly(v: GradedModule, cap: int = 10) -> int | str:

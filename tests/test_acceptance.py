@@ -13,7 +13,7 @@ from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import homological as H
 from grquiver import polynomial as PY
-from grquiver.grmod import (character_module, contravariant_dual, decompose,
+from grquiver.grmod import (character_module, decompose, dual,
                             is_isomorphic, shift, validate, weyl_twist)
 
 from ungraded_oracle import has_ungraded_section, ungraded_resolution_dims
@@ -92,7 +92,7 @@ def test_criterion_04_almost_split_middles():
                    f"p={p}: middle of W-sequence")
         for a in range(p - 1):
             what = f"p={p}: zeta' for V({p + a})"
-            end = contravariant_dual(C.weyl_hat(p, p + a))
+            end = dual(C.weyl_hat(p, p + a))
             zeta = H.almost_split_sequence(end)
             assert zeta.check() == [] and not zeta.is_split()
             assert_iso(zeta.left, C.weyl_hat(p, p + a), f"{what}: left")
@@ -120,7 +120,7 @@ def test_criterion_05_torsion_identities():
                            f"p={p}: first torsion identity")
                 t2, _ = PY.t_poly(shift(C.weyl_hat(p, (s + 2) * p + a),
                                         (-p, -p)))
-                expected = contravariant_dual(
+                expected = dual(
                     shift(C.weyl_hat(p, s * p - a - 2), (a + 1, a + 1)))
                 assert_iso(t2, expected, f"p={p}: second torsion identity")
     ok(5, "t(V((s+1)p+a)[(-p,0)]) = W(sp+a) and "
@@ -136,7 +136,6 @@ def _check_poly_sequence(end, left, middles, what):
 
 def test_criterion_06_induced_polynomial_sequences():
     s = 2
-    dual = contravariant_dual
     for p, a in itertools.product(PRIMES, (0, 1)):
         for l in range(0, s):  # sequences ending at a shifted Weyl module
             end = shift(C.weyl_hat(p, (s - l - 1) * p + a),
@@ -223,14 +222,13 @@ def test_criterion_10_duality_laws():
         samples = [C.w_hat(p, p + 1), shift(C.weyl_hat(p, 2 * p), (-p, 0)),
                    C.weyl_hat(p, p + 2), shift(C.w_hat_twisted(p, p), (1, 1))]
         for m in samples:
-            assert_iso(contravariant_dual(contravariant_dual(m)), m,
-                       f"p={p}: double dual")
+            assert_iso(dual(dual(m)), m, f"p={p}: double dual")
             u, _ = PY.u_poly(m)
-            t, _ = PY.t_poly(contravariant_dual(m))
-            assert_iso(u, contravariant_dual(t), f"p={p}: u = (t dual)^o")
+            t, _ = PY.t_poly(dual(m))
+            assert_iso(u, dual(t), f"p={p}: u = (t dual)^o")
         for a in range(p):
             la = C.simple_hat(p, a)
-            assert_iso(contravariant_dual(la), la, f"p={p}: simple self-dual")
+            assert_iso(dual(la), la, f"p={p}: simple self-dual")
         patch = AQ.explore_component(C.weyl_hat(p, p), max_ql=2, max_tau=1)
         rep = AQ.column_symmetry_check(patch)
         assert rep["applicable"] and rep["passed"], (p, rep)
@@ -277,7 +275,7 @@ def test_criterion_12_forgetful_coherence():
     a1 = C.borel_algebra(P, 1)
     suite = [C.w_hat(P, 3), C.w_hat(P, 6), C.weyl_hat(P, 3),
              C.weyl_hat(P, 6), C.simple_hat(P, 0), C.simple_hat(P, 1),
-             contravariant_dual(C.weyl_hat(P, 4)), C.projective_indec(P, 1),
+             dual(C.weyl_hat(P, 4)), C.projective_indec(P, 1),
              character_module(a1, (0, 0)), character_module(a1, (2, 1))]
     assert len(suite) == 10
     for m in suite:

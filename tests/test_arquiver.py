@@ -8,8 +8,8 @@ import pytest
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import polynomial as PY
-from grquiver.grmod import (GradedModule, borel_dual, character_module,
-                            contravariant_dual, is_isomorphic, shift)
+from grquiver.grmod import (GradedModule, character_module, dual,
+                            is_isomorphic, shift)
 
 P = 3
 
@@ -34,12 +34,11 @@ class TestIdentify:
     def test_free_borel_modules_named_at_their_top(self):
         # over the raising algebra the top of a free module is its lowest
         # weight, not its highest
-        from grquiver.grmod import borel_dual
         lowering = C.borel_algebra(P, 1)
         raising = C.borel_algebra(P, 1, raising=True)
         cases = [(C.borel_projective((0, 0), lowering), "Z(0,0)@r=1"),
                  (C.borel_projective((0, 0), raising), "Z(0,0)@r=1"),
-                 (borel_dual(C.borel_projective((0, 0), lowering)),
+                 (dual(C.borel_projective((0, 0), lowering)),
                   "Z(-2,2)@r=1")]
         for m, text in cases:
             assert str(AQ.identify(m)) == text
@@ -48,7 +47,7 @@ class TestIdentify:
     def test_borel_labels_rebuild_their_module(self, p):
         # the label keeps the algebra's offset and weight convention, though
         # its name leaves them out
-        mods = [borel_dual(C.borel_projective((0, 0), C.borel_algebra(p, 1)))]
+        mods = [dual(C.borel_projective((0, 0), C.borel_algebra(p, 1)))]
         for alg in (C.borel_algebra(p, 1, raising=True),
                     C.borel_algebra(p, 1, offset=2)):
             mods += [C.borel_projective((0, 0), alg),

@@ -7,8 +7,8 @@ import pytest
 
 from grquiver import cli
 from grquiver.cli import main
-from grquiver.constructions import borel_algebra
-from grquiver.grmod import borel_dual, character_module
+from grquiver.constructions import borel_algebra, weyl_hat
+from grquiver.grmod import character_module, direct_sum, dual
 
 
 def run(capsys, *argv):
@@ -101,7 +101,7 @@ class TestBorelAndCheck:
         # (1, -1) where the lowering algebra's shifts by (-1, 1)
         k = character_module(borel_algebra(3, 1), (0, 0))
         f = tmp_path / "dk.json"
-        f.write_text(borel_dual(k).to_json() + "\n")
+        f.write_text(dual(k).to_json() + "\n")
         code, out = run(capsys, "--p", "3", "functor", "tau", str(f),
                         "--emit", "summary")
         assert code == 0
@@ -118,7 +118,7 @@ class TestBorelAndCheck:
         f.write_text(k.to_json() + "\n")
         code, out = run(capsys, "--p", "3", "functor", "dual", str(f))
         assert code == 0
-        assert out.splitlines()[1] == borel_dual(k).to_json()
+        assert out.splitlines()[1] == dual(k).to_json()
 
     def test_borel_report(self, capsys):
         code, out = run(capsys, "--p", "3", "borel", "--d", "2")
@@ -219,6 +219,26 @@ class TestInputErrors:
         # V(5) splits at p=3 since 5 = p - 1 mod p
         err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d", "5")
         assert "V(5)" in err and "--seed-label" in err
+
+    @pytest.mark.parametrize("label", ["C(1,2)", "Z(3,0)@r=1"])
+    def test_borel_schur_seed(self, capsys, label):
+        err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d", "3",
+                                      "--seed-label", label)
+        assert label in err and "borel module" in err
+
+    def test_decomposable_ar_seed(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(direct_sum([weyl_hat(3, 3)] * 2).to_json() + "\n")
+        err = self.assert_usage_error(capsys, "--p", "3", "ar", str(f))
+        assert "must be indecomposable" in err
+
+    @pytest.mark.parametrize("bound", [["--max-tau", "-2"],
+                                       ["--max-ql", "-1"]],
+                             ids=["max-tau", "max-ql"])
+    def test_negative_ar_bound(self, capsys, bound):
+        err = self.assert_usage_error(capsys, "--p", "3", "ar", "V(3)",
+                                      *bound)
+        assert "bounds must be >= 0" in err
 
 
 class TestParserReuse:

@@ -13,6 +13,7 @@ import reference_complexity as RC
 import reference_gf as R
 import reference_graded as RG
 import reference_iso as RI
+import reference_polynomial as RPY
 import reference_projective as RP
 import reference_radical as RR
 import ungraded_oracle as UO
@@ -658,7 +659,7 @@ def ext_projectivity_inputs(candidates):
     11, with their duals, shifts and tau."""
     for mods in candidates.values():
         for m in mods:
-            yield from (m, G.contravariant_dual(m), H.tau(m), H.tau_inv(m),
+            yield from (m, G.dual(m), H.tau(m), H.tau_inv(m),
                         H.omega(m), G.shift(m, (-1, 0)))
     for p in (3, 5):
         alg = C.borel_algebra(p, 1)
@@ -675,16 +676,83 @@ def ext_projectivity_inputs(candidates):
 
 def test_polynomial_socle_against_t_fixpoint(candidates):
     verdicts = [(polynomial.has_polynomial_simple(m),
-                 polynomial.t_poly(m)[0].dim != 0)
+                 RPY.t_poly(m)[0].dim != 0)
                 for m in ext_projectivity_inputs(candidates)]
     assert all(fast == slow for fast, slow in verdicts)
     assert 0 < sum(slow for _, slow in verdicts) < len(verdicts)
     for mods in candidates.values():
         for m in mods:
-            for v in (m, G.contravariant_dual(m)):
+            for v in (m, G.dual(m)):
                 assert polynomial.ext_projective_in_poly(v) == (
                     H.is_projective(v)
-                    or polynomial.t_poly(H.tau(v))[0].dim == 0)
+                    or RPY.t_poly(H.tau(v))[0].dim == 0)
+
+
+def t_poly_inputs(candidates):
+    """The candidates, their tau and tau^-1 and their shifts by (-1, 0),
+    (0, -1), (-p, 0) and (-p, -p); the borel modules of
+    `borel_graded_modules` and their duals."""
+    for (p, _), mods in candidates.items():
+        for m in mods:
+            yield from (m, H.tau(m), H.tau_inv(m))
+            yield from (G.shift(m, mu)
+                        for mu in ((-1, 0), (0, -1), (-p, 0), (-p, -p)))
+    for m in borel_graded_modules():
+        yield from (m, G.dual(m))
+
+
+def test_t_poly_against_fixpoint(candidates):
+    # t(m) = u(m^o)^o must hand `submodule_from_subspace` the basis the
+    # fixpoint shrink reaches, so module and inclusion are the same bytes
+    proper = 0
+    for m in t_poly_inputs(candidates):
+        (t, incl), (t_ref, incl_ref) = polynomial.t_poly(m), RPY.t_poly(m)
+        assert summand_bytes([(t, incl.matrix)]) == summand_bytes(
+            [(t_ref, incl_ref.matrix)])
+        proper += 0 < t.dim < m.dim
+    assert proper > 400
+
+
+def borel_cover_inputs():
+    """Over (p, r) in {3, 5} x {1, 2}: the characters k(0,0) and k(2,1),
+    Omega^k k for k = 1..3 and, at r = 2, the outer tensors of acceptance
+    criterion 11, with their duals."""
+    for p, r in itertools.product((3, 5), (1, 2)):
+        alg = C.borel_algebra(p, r)
+        k = G.character_module(alg, (0, 0))
+        mods = [k, G.character_module(alg, (2, 1)),
+                *(H.omega_pow(k, i) for i in (1, 2, 3))]
+        if r == 2:
+            mods += outer_tensors(p)
+        for m in mods:
+            yield from (m, G.dual(m))
+
+
+def test_borel_cover_against_free_module_walk():
+    several_generators = 0
+    for m in borel_cover_inputs():
+        (P, epi), (P_ref, epi_ref) = (H.projective_cover(m),
+                                      RPY.borel_projective_cover(m))
+        assert summand_bytes([(P, epi.matrix)]) == summand_bytes(
+            [(P_ref, epi_ref.matrix)])
+        several_generators += top(m)[0].dim > 1
+    assert several_generators >= 10
+
+
+@pytest.mark.parametrize("key", SLICES, ids=lambda k: f"p{k[0]}-d{k[1]}")
+def test_injective_resolution_against_polynomial_hulls(key):
+    # the duals of the projective resolution of v^o against t of the ambient
+    # injective hulls, term by term up to isomorphism
+    labels = [lab for lab, _ in degree_candidates(*key)
+              if lab.family in ("V", "Vo", "W")]
+    assert labels
+    for lab in labels:
+        v = lab.build(key[0])
+        terms = polynomial.poly_injective_resolution(v, 3)
+        ref = RPY.poly_injective_resolution(v, 3)
+        assert [t.dim for t in terms] == [t.dim for t in ref]
+        assert all(is_isomorphic(t, r) is not None
+                   for t, r in zip(terms, ref))
 
 
 def borel_graded_modules():

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grquiver import constructions as C
-from grquiver.grmod import (GradedModule, ModuleMap, borel_dual,
-                            character_module, contravariant_dual, decompose,
-                            degree_decompose, direct_sum, hom_space,
-                            is_isomorphic, quotient, radical, shift, socle,
-                            submodule_from_subspace, submodule_span, top,
-                            validate, weyl_twist, zero_module)
+from grquiver.grmod import (GradedModule, ModuleMap, character_module,
+                            decompose, degree_decompose, direct_sum, dual,
+                            hom_space, is_isomorphic, quotient, radical, shift,
+                            socle, submodule_from_subspace, submodule_span,
+                            top, validate, weyl_twist, zero_module)
 
 
 P = 3
@@ -65,11 +64,11 @@ class TestShiftAndDuality:
                    for g in back.action)
 
     def test_dual_involution(self, v6):
-        dd = contravariant_dual(contravariant_dual(v6))
+        dd = dual(dual(v6))
         assert is_isomorphic(dd, v6) is not None
 
     def test_dual_preserves_support(self, v6):
-        assert contravariant_dual(v6).support() == v6.support()
+        assert dual(v6).support() == v6.support()
 
     def test_twist_involution(self, v6):
         tt = weyl_twist(weyl_twist(v6))
@@ -81,12 +80,12 @@ class TestShiftAndDuality:
     def test_simples_self_dual(self):
         for a in range(P):
             s = C.simple_hat(P, a)
-            assert is_isomorphic(contravariant_dual(s), s) is not None
+            assert is_isomorphic(dual(s), s) is not None
 
     def test_borel_dual_involution(self):
         alg = C.borel_algebra(P, 1)
         z = C.borel_projective((2, 0), alg)
-        assert is_isomorphic(borel_dual(borel_dual(z)), z) is not None
+        assert is_isomorphic(dual(dual(z)), z) is not None
 
 
 class TestLayers:

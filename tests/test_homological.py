@@ -6,8 +6,8 @@ import pytest
 
 from grquiver import constructions as C
 from grquiver import homological as H
-from grquiver.grmod import (borel_dual, character_module, decompose,
-                            direct_sum, is_isomorphic, shift, validate)
+from grquiver.grmod import (character_module, decompose, direct_sum, dual,
+                            is_isomorphic, shift, validate)
 
 P = 3
 
@@ -87,9 +87,9 @@ class TestTau:
         # tau D = D tau^-1 for D the borel duality, which moves k to the
         # raising algebra; an offset scales the generators' weight shifts
         k = character_module(C.borel_algebra(p, r, offset), (0, 0))
-        dk = borel_dual(k)
-        assert is_isomorphic(H.tau(dk), borel_dual(H.tau_inv(k))) is not None
-        assert is_isomorphic(H.tau_inv(dk), borel_dual(H.tau(k))) is not None
+        dk = dual(k)
+        assert is_isomorphic(H.tau(dk), dual(H.tau_inv(k))) is not None
+        assert is_isomorphic(H.tau_inv(dk), dual(H.tau(k))) is not None
         if r == 1:  # tau k_0 = k_s for s the weight shift of the generator
             assert H.tau(k).weights == (k.algebra.action_shift(f"X{offset}"),)
         for m in (k, dk):

@@ -7,7 +7,7 @@ import pytest
 from grquiver import constructions as C
 from grquiver import homological as H
 from grquiver import polynomial as PY
-from grquiver.grmod import (character_module, contravariant_dual, decompose,
+from grquiver.grmod import (character_module, decompose, dual,
                             is_isomorphic, shift, validate)
 
 P = 3
@@ -39,7 +39,7 @@ class TestTorsionRadical:
 
     def test_deep_shift_gives_dual_weyl(self):
         t, _ = PY.t_poly(shift(C.weyl_hat(P, 9), (-P, -P)))
-        expected = shift(contravariant_dual(C.weyl_hat(P, 1)), (1, 1))
+        expected = shift(dual(C.weyl_hat(P, 1)), (1, 1))
         assert is_isomorphic(t, expected) is not None
 
     def test_idempotent(self):
@@ -65,7 +65,7 @@ class TestQuotientPartner:
         for d, mu in [(6, (-P, 0)), (9, (-P, -P)), (3, (1, -1))]:
             m = shift(C.weyl_hat(P, d), mu)
             lhs = PY.u_poly(m)[0]
-            rhs = contravariant_dual(PY.t_poly(contravariant_dual(m))[0])
+            rhs = dual(PY.t_poly(dual(m))[0])
             assert is_isomorphic(lhs, rhs) is not None
 
     def test_output_is_polynomial(self):
