@@ -102,14 +102,18 @@ def cmd_schur(args, out) -> int:
     q = arquiver.schur_block_quiver(args.p, args.d, args.seed_label)
     if args.drop_projective_injective:
         s = q.stable_part()
+        out.write(s.to_dot() if args.emit == "dot"
+                  else json.dumps(s.to_json_dict()) + "\n")
+        if len(q.vertices) == 1:
+            # the rule for n below holds for non-semisimple blocks only
+            out.write("template: none (semisimple block)\n")
+            return 0
         # n follows the block's largest V, Vo or L parameter e, which is
         # below d for a block shifted into degree d
         e = max(v.label.d for v in q.vertices.values()
                 if v.label.family in ("V", "Vo", "L"))
         n = 2 * (e // args.p) + 1
         match = arquiver.template_match(s, n, n)
-        out.write(s.to_dot() if args.emit == "dot"
-                  else json.dumps(s.to_json_dict()) + "\n")
         out.write(f"template Z[A_{n}]/tau^{n}: "
                   + ("MATCH" if match is not None else "NO MATCH") + "\n")
     else:
@@ -214,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--p", type=int, default=3,
                     help="odd prime modulus (never inferred)")
     ap.add_argument("--seed", type=int, default=None,
-                    help="PRNG seed (fallback: GRQ_SEED env, then 0)")
+                    help="seed echoed in the header and the check report; "
+                    "no computation reads it (fallback: GRQ_SEED env, "
+                    "then 0)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("module", help="construct and print a module")

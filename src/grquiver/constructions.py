@@ -230,7 +230,8 @@ _Z_RE = re.compile(
     r"^Z\((?P<a>-?\d+),(?P<b>-?\d+)\)@r=(?P<r>\d+)"
     r"(?P<shift>\+\(-?\d+,-?\d+\))?$")
 _C_RE = re.compile(
-    r"^C\((?P<a>-?\d+),(?P<b>-?\d+)\)(?P<shift>\+\(-?\d+,-?\d+\))?$")
+    r"^C\((?P<a>-?\d+),(?P<b>-?\d+)\)(@r=(?P<r>\d+))?"
+    r"(?P<shift>\+\(-?\d+,-?\d+\))?$")
 _SHIFT_RE = re.compile(r"^\+\((-?\d+),(-?\d+)\)$")
 
 
@@ -241,7 +242,7 @@ class FamilyLabel:
     family: str  # V | Vo | W | Wwo | L | Q | Z | Char
     d: int = 0
     weight: Weight = (0, 0)  # for Z / Char
-    r: int = 1  # for Z
+    r: int = 1  # for Z / Char (a Char name shows it when r != 1)
     shift: Weight = (0, 0)
     # for Z / Char: the borel algebra's first variable and weight convention
     # (left out of the name)
@@ -255,7 +256,8 @@ class FamilyLabel:
         if self.family == "Z":
             return f"Z({self.weight[0]},{self.weight[1]})@r={self.r}{sh}"
         if self.family == "Char":
-            return f"C({self.weight[0]},{self.weight[1]}){sh}"
+            r = f"@r={self.r}" if self.r != 1 else ""
+            return f"C({self.weight[0]},{self.weight[1]}){r}{sh}"
         fam = {"Wwo": "W"}.get(self.family, self.family)
         w0 = "w0" if self.family == "Wwo" else ""
         return f"{fam}({self.d}){w0}{sh}"
@@ -311,7 +313,7 @@ def _parse_shift(s: str | None) -> Weight:
 
 def parse_label(s: str) -> FamilyLabel:
     """Parse strings like "V(7)", "Vo(7)+(1,2)", "W(6)w0+(0,3)", "L(2)",
-    "Q(0)", "Z(2,0)@r=1", "C(1,1)"."""
+    "Q(0)", "Z(2,0)@r=1", "C(1,1)", "C(0,0)@r=2"."""
     s = s.strip()
     mm = _LABEL_RE.match(s)
     if mm:
@@ -332,5 +334,6 @@ def parse_label(s: str) -> FamilyLabel:
     if mm:
         return FamilyLabel("Char",
                            weight=(int(mm.group("a")), int(mm.group("b"))),
+                           r=int(mm.group("r") or 1),
                            shift=_parse_shift(mm.group("shift")))
     raise LabelParseError(f"cannot parse family label {s!r} (position 0)")

@@ -257,7 +257,8 @@ def direct_sum(mods: list[GradedModule]) -> GradedModule:
 def restrict_to_indices(m: GradedModule, idx: list[int]) -> GradedModule:
     """Submodule on a subset of basis vectors (must be action-invariant)."""
     idx = list(idx)
-    comp = [j for j in range(m.dim) if j not in set(idx)]
+    keep = set(idx)
+    comp = [j for j in range(m.dim) if j not in keep]
     for g, mat in m.action.items():
         if comp and idx and np.any(mat[np.ix_(comp, idx)]):
             raise ValueError(f"index set not invariant under {g}")
@@ -427,84 +428,47 @@ def degree_decompose(m: GradedModule) -> dict[int, GradedModule]:
 # submodules and quotients
 
 
+def _weight_columns(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
+    """The columns reduced mod p and sorted stably by weight.
+
+    A T-stable subspace is spanned by weight vectors, so every caller
+    passes them; a column with entries of two weights raises.
+    """
+    vectors = m.field.reduce(vectors)
+    if vectors.shape[0] != m.dim:
+        raise ValueError("subspace basis has wrong ambient dimension")
+    if not vectors.size:
+        return vectors
+    wts = np.array(m.weights, dtype=np.int64)
+    nonzero = vectors != 0
+    own = wts[nonzero.argmax(axis=0)]
+    rows, cols = np.nonzero(nonzero)
+    if np.any(wts[rows] != own[cols]):
+        raise ValueError("subspace is not graded")  # constraint, not expected
+    return vectors[:, np.lexsort(own.T[::-1])]
+
+
 def _weight_component_basis(m: GradedModule,
                             vectors: np.ndarray) -> np.ndarray:
-    """Basis (as columns) of the span of the weight components of the
-    columns, each basis column a weight vector of m.
-
-    The nonzero components are the columns of one block-diagonal matrix,
-    weight-major in sorted weight order and in column order within a
-    weight, and its pivot columns are kept.  Blocks of different weights
-    have disjoint row supports, so a component is independent of the
-    earlier ones exactly when it is of the earlier ones of its own weight:
-    one elimination keeps what one elimination per weight would.
-    """
-    order = {w: t for t, w in enumerate(sorted(set(m.weights)))}
-    wid = np.array([order[w] for w in m.weights], dtype=np.int64)
-    onehot = wid[None, :] == np.arange(len(order))[:, None]
-    ts, cs = np.nonzero(onehot.astype(np.int64) @ (vectors != 0))
-    comp = np.where(wid[:, None] == ts[None, :], vectors[:, cs], 0)
-    return comp[:, m.field.rref(comp)[1]]
-
-
-def homogenize_columns(m: GradedModule, basis: np.ndarray) -> np.ndarray:
-    """Split columns of a graded subspace basis into weight components.
-
-    Valid when the column space is graded (e.g. kernels/images of
-    homogeneous operators); returns a weight-homogeneous basis of the same
-    span.
-    """
-    out = _weight_component_basis(m, basis)
-    # the components span at least the columns; equal ranks mean equal spans
-    # (out is independent by construction, so its rank is its width)
-    if out.shape[1] != m.field.rank(basis):
-        raise ValueError("subspace is not graded")  # constraint, not expected
-    return out
-
-
-def _module_on_basis(m: GradedModule,
-                     basis: np.ndarray) -> tuple[GradedModule, ModuleMap]:
-    """Submodule structure on an invariant homogeneous column basis."""
-    ff = m.field
-    weights = []
-    for j in range(basis.shape[1]):
-        idx = int(np.flatnonzero(basis[:, j])[0])
-        weights.append(m.weights[idx])
-    gens = m.algebra.generators()
-    coords = ff.solve_matrix(
-        basis, np.hstack([ff.matmul(m.action[g], basis) for g in gens]))
-    if coords is None:
-        raise ValueError("basis not invariant under the action")
-    k = basis.shape[1]
-    action = {g: coords[:, t * k:(t + 1) * k] for t, g in enumerate(gens)}
-    sub = GradedModule(m.algebra, tuple(weights), action)
-    return sub, ModuleMap(sub, m, basis)
+    """The pivot columns of the weight-vector columns sorted by weight: a
+    basis of their span, weight-major in sorted weight order and in column
+    order within a weight."""
+    cols = _weight_columns(m, vectors)
+    return cols[:, m.field.rref(cols)[1]]
 
 
 def submodule_span(m: GradedModule,
                    generators: list[np.ndarray]
                    ) -> tuple[GradedModule, ModuleMap]:
     """Smallest homogeneous submodule containing the given weight vectors."""
-    ff = m.field
-    vecs = [ff.reduce(v).reshape(-1) for v in generators]
-    for v in vecs:
-        if v.shape[0] != m.dim:
-            raise ValueError("generator vector has wrong length")
-        ws = {m.weights[i] for i in range(m.dim) if v[i]}
-        if len(ws) > 1:
-            raise ValueError("generator vector is not a weight vector")
-    if not vecs or all(not np.any(v) for v in vecs):
-        z = zero_module(m.algebra)
-        return z, ModuleMap(z, m, np.zeros((m.dim, 0), dtype=np.int64))
-    return _module_on_basis(m, _closure_basis(m, np.stack(vecs, axis=1)))
+    vecs = np.reshape(generators, (len(generators), m.dim)).T
+    return submodule_from_subspace(m, _closure_basis(m, vecs))
 
 
 def _closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
     """Weight-vector basis of the smallest submodule containing the columns,
     each column a weight vector."""
     ff = m.field
-    # a weight vector is its own weight component, so the component basis
-    # is a basis of the span
     basis = _weight_component_basis(m, vectors)
     while True:
         images = [basis]
@@ -518,24 +482,38 @@ def _closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
 
 def submodule_from_subspace(m: GradedModule,
                             basis: np.ndarray) -> tuple[GradedModule, ModuleMap]:
-    """Submodule on an action-invariant graded subspace given by columns."""
-    if basis.shape[1] == 0:
-        z = zero_module(m.algebra)
-        return z, ModuleMap(z, m, np.zeros((m.dim, 0), dtype=np.int64))
-    hom = homogenize_columns(m, m.field.reduce(basis))
-    return _module_on_basis(m, hom)
+    """Submodule on an action-invariant subspace spanned by weight-vector
+    columns, which may be dependent.
+
+    One elimination of [columns | g columns, for each generator g], the
+    columns sorted by weight: the pivots among the columns pick the basis,
+    a pivot right of them means the span is not invariant, and the pivot
+    rows of each right block hold that generator's coordinates.
+    """
+    ff, gens = m.field, m.algebra.generators()
+    cols = _weight_columns(m, basis)
+    k = cols.shape[1]
+    r, pivots, rank = ff.rref(
+        np.hstack([cols] + [ff.matmul(m.action[g], cols) for g in gens]))
+    if rank and pivots[-1] >= k:
+        raise ValueError("basis not invariant under the action")
+    chosen = cols[:, pivots]
+    weights = tuple(m.weights[np.flatnonzero(c)[0]] for c in chosen.T)
+    action = {g: r[:rank, (t + 1) * k + np.array(pivots, dtype=np.int64)]
+              for t, g in enumerate(gens)}
+    sub = GradedModule(m.algebra, weights, action)
+    return sub, ModuleMap(sub, m, chosen)
 
 
 def quotient(m: GradedModule,
              sub_basis: np.ndarray) -> tuple[GradedModule, ModuleMap]:
-    """Quotient by the homogeneous submodule spanned by the given columns."""
+    """Quotient by the homogeneous submodule spanned by the given
+    weight-vector columns."""
     ff = m.field
-    if sub_basis.shape[0] != m.dim:
-        raise ValueError("submodule basis has wrong ambient dimension")
-    if sub_basis.shape[1] == 0:
+    basis = _weight_columns(m, sub_basis)
+    if basis.shape[1] == 0:
         q = GradedModule(m.algebra, m.weights, dict(m.action))
         return q, ModuleMap(m, q, ff.eye(m.dim))
-    basis = ff.reduce(sub_basis)
     k = basis.shape[1]
     # in rref([basis | I]) the s pivots inside the basis part give its rank;
     # the later pivots are the first standard vectors completing the span,
@@ -545,12 +523,6 @@ def quotient(m: GradedModule,
     s = sum(c < k for c in pivots)
     chosen = [c - k for c in pivots[s:]]
     proj = r[s:, k:]
-    # the span is graded iff its annihilator is, iff every echelon row of
-    # the annihilator is a weight vector
-    wts = np.array(m.weights).reshape(-1, 2)
-    rows, cols = np.nonzero(proj)
-    if np.any(wts[cols] != wts[np.array(chosen, dtype=np.int64)[rows]]):
-        raise ValueError("subspace is not graded")  # constraint, not expected
     action = {}
     for g in m.algebra.generators():
         if np.any(ff.matmul(proj, ff.matmul(m.action[g], basis))):
@@ -583,28 +555,25 @@ def _highest_weight_kernel(m: GradedModule, idx: list[int]) -> np.ndarray:
     return ff.kernel_basis(np.vstack([m.action["E"][:, idx], f_pow]))
 
 
-def _highest_weight_vectors(m: GradedModule) -> np.ndarray:
-    """Columns spanning, weight by weight, the vectors of an sl2r1-module
-    that generate simple submodules (see `_highest_weight_kernel`)."""
-    ff = m.field
-    cols = []
-    for w in sorted(set(m.weights)):
-        idx = m.weight_indices(w)
-        kernel = _highest_weight_kernel(m, idx)
-        block = ff.zeros(m.dim, kernel.shape[1])
-        block[idx] = kernel
-        cols.append(block)
-    return np.hstack(cols) if cols else ff.zeros(m.dim, 0)
-
-
 def _socle_span(m: GradedModule) -> np.ndarray:
     """Columns spanning soc m: the joint kernel of the X_i (borel, whose
-    simples are the characters), or the submodule the highest weight vectors
-    generate (sl2r1)."""
+    simples are the characters), or the F-strings F^i v, i = 0..a, of the
+    vectors v of `_highest_weight_kernel` (sl2r1): each string spans the
+    simple L(a) that v generates (Jantzen, II.9)."""
+    ff = m.field
     if m.algebra.kind == "borel":
-        return m.field.kernel_basis(
+        return ff.kernel_basis(
             np.vstack([m.action[g] for g in m.algebra.generators()]))
-    return _closure_basis(m, _highest_weight_vectors(m))
+    cols = [ff.zeros(m.dim, 0)]
+    for w in dict.fromkeys(m.weights):
+        idx = m.weight_indices(w)
+        kernel = _highest_weight_kernel(m, idx)
+        v = ff.zeros(m.dim, kernel.shape[1])
+        v[idx] = kernel
+        for _ in range(int(m.action["H"][idx[0], idx[0]]) + 1):
+            cols.append(v)
+            v = ff.matmul(m.action["F"], v)
+    return np.hstack(cols)
 
 
 def _radical_span(m: GradedModule) -> np.ndarray:

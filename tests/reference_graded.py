@@ -1,14 +1,16 @@
 """The graded-subspace routines that grmod and polynomial replaced, kept as
 the reference for their one-elimination versions: the weight components
-reduced by one elimination per weight, the quotient that first homogenizes
-its basis and tests gradedness by two ranks, and u as a whole submodule
-followed by a quotient."""
+reduced by one elimination per weight, the submodule and the quotient that
+first homogenize their basis and test gradedness by two ranks, the
+submodule structure solved on that basis, the socle as the closure of the
+highest weight vectors, and u as a whole submodule followed by a
+quotient."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from grquiver.grmod import (GradedModule, ModuleMap, _module_on_basis,
+from grquiver.grmod import (GradedModule, ModuleMap, _highest_weight_kernel,
                             is_polynomial_weight, zero_module)
 
 
@@ -56,6 +58,35 @@ def homogenize_columns(m: GradedModule, basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def module_on_basis(m: GradedModule,
+                    basis: np.ndarray) -> tuple[GradedModule, ModuleMap]:
+    """Submodule structure on an invariant homogeneous column basis."""
+    ff = m.field
+    weights = []
+    for j in range(basis.shape[1]):
+        idx = int(np.flatnonzero(basis[:, j])[0])
+        weights.append(m.weights[idx])
+    gens = m.algebra.generators()
+    coords = ff.solve_matrix(
+        basis, np.hstack([ff.matmul(m.action[g], basis) for g in gens]))
+    if coords is None:
+        raise ValueError("basis not invariant under the action")
+    k = basis.shape[1]
+    action = {g: coords[:, t * k:(t + 1) * k] for t, g in enumerate(gens)}
+    sub = GradedModule(m.algebra, tuple(weights), action)
+    return sub, ModuleMap(sub, m, basis)
+
+
+def submodule_from_subspace(m: GradedModule,
+                            basis: np.ndarray) -> tuple[GradedModule, ModuleMap]:
+    """Submodule on an action-invariant graded subspace given by columns."""
+    if basis.shape[1] == 0:
+        z = zero_module(m.algebra)
+        return z, ModuleMap(z, m, np.zeros((m.dim, 0), dtype=np.int64))
+    hom = homogenize_columns(m, m.field.reduce(basis))
+    return module_on_basis(m, hom)
+
+
 def closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
     """Weight-vector basis of the smallest submodule containing the columns,
     each column a weight vector."""
@@ -88,7 +119,27 @@ def submodule_span(m: GradedModule,
     if not vecs or all(not np.any(v) for v in vecs):
         z = zero_module(m.algebra)
         return z, ModuleMap(z, m, np.zeros((m.dim, 0), dtype=np.int64))
-    return _module_on_basis(m, closure_basis(m, np.stack(vecs, axis=1)))
+    return module_on_basis(m, closure_basis(m, np.stack(vecs, axis=1)))
+
+
+def highest_weight_vectors(m: GradedModule) -> np.ndarray:
+    """Columns spanning, weight by weight, the vectors of an sl2r1-module
+    that generate simple submodules (see `_highest_weight_kernel`)."""
+    ff = m.field
+    cols = []
+    for w in sorted(set(m.weights)):
+        idx = m.weight_indices(w)
+        kernel = _highest_weight_kernel(m, idx)
+        block = ff.zeros(m.dim, kernel.shape[1])
+        block[idx] = kernel
+        cols.append(block)
+    return np.hstack(cols) if cols else ff.zeros(m.dim, 0)
+
+
+def socle_span(m: GradedModule) -> np.ndarray:
+    """Columns spanning the socle of an sl2r1-module: the submodule the
+    highest weight vectors generate, closed round by round."""
+    return closure_basis(m, highest_weight_vectors(m))
 
 
 def quotient(m: GradedModule,

@@ -56,6 +56,18 @@ class TestIdentify:
             lab = AQ.identify(m)
             assert is_isomorphic(m, lab.build(p)) is not None, str(lab)
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_character_names_rebuild_their_module(self, r):
+        # a character's name keeps r, so parsing it rebuilds the module over
+        # the same algebra
+        for p in (3, 5):
+            for w in ((0, 0), (1, -1), (2, 3)):
+                m = character_module(C.borel_algebra(p, r), w)
+                name = str(AQ.identify(m))
+                assert ("@r=" in name) == (r != 1)
+                rebuilt = C.parse_label(name).build(p)
+                assert is_isomorphic(m, rebuilt) is not None, name
+
     def test_unknown_returns_none(self):
         # a decomposable module matches no single family label
         from grquiver.grmod import direct_sum

@@ -87,6 +87,25 @@ class TestSchurAndAr:
         assert code == 0
         assert out.splitlines()[-1] == f"template Z[A_{n}]/tau^{n}: MATCH"
 
+    @pytest.mark.parametrize("p,d", [(3, 0), (3, 1), (3, 2), (5, 3)])
+    def test_semisimple_block_has_no_template(self, capsys, p, d):
+        # a one-member block has an empty stable part and no mesh template
+        code, out = run(capsys, "--p", str(p), "schur", "--d", str(d),
+                        "--drop-projective-injective")
+        assert code == 0
+        assert out.splitlines()[1:] == ["digraph ARQuiver {", "}",
+                                        "template: none (semisimple block)"]
+        code, out = run(capsys, "--p", str(p), "schur", "--d", str(d),
+                        "--drop-projective-injective", "--emit", "json")
+        assert code == 0
+        assert json.loads(out.splitlines()[1])["vertices"] == []
+        assert out.splitlines()[2] == "template: none (semisimple block)"
+
+    def test_label_of_a_character_keeps_r(self, capsys):
+        code, out = run(capsys, "--p", "3", "functor", "u", "Z(0,0)@r=2")
+        assert code == 0
+        assert out.splitlines()[-1] == "identified: C(0,0)@r=2"
+
     def test_ar_json(self, capsys):
         code, out = run(capsys, "--p", "3", "ar", "W(3)", "--max-ql", "1",
                         "--max-tau", "1", "--emit", "json")

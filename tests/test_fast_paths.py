@@ -23,9 +23,8 @@ from grquiver import grmod as G
 from grquiver import homological as H
 from grquiver import polynomial
 from grquiver.gf import PrimeField
-from grquiver.grmod import (decompose, direct_sum, homogenize_columns,
-                            hom_space, is_isomorphic, quotient, radical,
-                            socle, top)
+from grquiver.grmod import (decompose, direct_sum, hom_space, is_isomorphic,
+                            quotient, radical, socle, top)
 from test_pinned_bytes import outer_tensors
 
 
@@ -69,7 +68,7 @@ def quotient_loop(m, sub_basis):
     """(weights, action, projection) of quotient(m, sub_basis), completing
     the submodule basis greedily by one rank test per standard vector."""
     p = m.algebra.p
-    basis = homogenize_columns(m, sub_basis % p)
+    basis = RG.homogenize_columns(m, sub_basis % p)
     k = basis.shape[1]
     full, chosen = basis, []
     for j in range(m.dim):
@@ -328,7 +327,7 @@ def test_homogenize_columns_against_loop(candidates, covers, monkeypatch):
     monkeypatch.undo()
     assert len(seen) > 1000
     for m, vectors in seen:
-        assert np.array_equal(homogenize_columns(m, vectors),
+        assert np.array_equal(G._weight_component_basis(m, vectors),
                               homogenize_columns_loop(m, vectors))
 
 
@@ -545,7 +544,14 @@ def radical_inputs(candidates):
             yield polynomial.t_poly(G.shift(m, (-1, 0)))[0]
 
 
-def test_radical_and_socle_against_pbw_operators(candidates):
+def test_radical_and_socle_against_pbw_operators(candidates, monkeypatch):
+    # the reference hands `submodule_from_subspace` dependent spanning sets
+    spans = []
+
+    def record(m, basis):
+        spans.append((m, basis, RG.submodule_from_subspace(m, basis)))
+        return spans[-1][2]
+    monkeypatch.setattr(RR, "submodule_from_subspace", record)
     off_weight = 0
     for m in radical_inputs(candidates):
         soc, incl = socle(m)
@@ -562,6 +568,9 @@ def test_radical_and_socle_against_pbw_operators(candidates):
             in zip(content, UO._simples(m.algebra)))
         off_weight += any("H does not act" in e for e in G.validate(m))
     assert off_weight > 0
+    assert sum(basis.shape[1] > m.dim for m, basis, _ in spans) > 800
+    for m, basis, ref in spans:
+        assert_same_pair(G.submodule_from_subspace(m, basis), ref)
 
 
 def test_rref_against_reference_loop(candidates, monkeypatch):
@@ -616,13 +625,15 @@ def test_hom_linkage_blocks_against_ext_closure(p, d):
 
 
 def radical_layer_factors(m):
-    """Highest weights of the composition factors, read off the highest
-    weight vectors of the semisimple radical layers."""
+    """Highest weights of the composition factors: each weight of a
+    semisimple radical layer, once per dimension of its highest weight
+    kernel."""
     out = []
     while m.dim:
         t, _ = top(m)
-        out += [t.weights[int(np.flatnonzero(col)[0])]
-                for col in G._highest_weight_vectors(t).T]
+        out += [w for w in dict.fromkeys(t.weights)
+                for _ in range(G._highest_weight_kernel(
+                    t, t.weight_indices(w)).shape[1])]
         m = radical(m)[0]
     return sorted(out)
 
@@ -771,30 +782,32 @@ def borel_graded_modules():
 
 @pytest.fixture(scope="module")
 def graded_calls(candidates, covers):
-    """Every input of `_weight_component_basis`, `quotient` and `u_poly`
-    met while computing radicals, socles, tops, Omega, t and u of the
-    candidates, their covers, the borel modules and their duals (the free
-    modules' u are the standard modules), and the almost split sequences
-    ending at the r = 2 borel modules and the candidates of p=3 d=4, whose
-    pushouts are the quotients met last."""
-    seen = {"components": [], "quotient": []}
-    real_components, real_quotient = G._weight_component_basis, G.quotient
+    """Every input of `_weight_component_basis`, `submodule_from_subspace`,
+    `quotient` and `u_poly` met while computing radicals, socles, tops,
+    Omega, t and u of the candidates, their covers, the borel modules and
+    their duals (the free modules' u are the standard modules), and the
+    almost split sequences ending at the r = 2 borel modules and the
+    candidates of p=3 d=4, whose pushouts are the quotients met last."""
+    seen = {"components": [], "subspace": [], "quotient": []}
+    real = {"components": G._weight_component_basis,
+            "subspace": G.submodule_from_subspace, "quotient": G.quotient}
 
-    def components(m, vectors):
-        seen["components"].append((m, vectors.copy()))
-        return real_components(m, vectors)
-
-    def quotient_(m, sub):
-        seen["quotient"].append((m, sub.copy()))
-        return real_quotient(m, sub)
+    def recorder(kind):
+        def record(m, vectors):
+            seen[kind].append((m, vectors.copy()))
+            return real[kind](m, vectors)
+        return record
     sl2 = [m for mods in list(candidates.values()) + list(covers.values())
            for m in mods]
     borel = list(borel_graded_modules())
     seen["u"] = sl2 + borel + [G.dual(m) for m in borel]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(G, "_weight_component_basis", components)
+        mp.setattr(G, "_weight_component_basis", recorder("components"))
+        for module in (G, H, C, polynomial):
+            mp.setattr(module, "submodule_from_subspace",
+                       recorder("subspace"))
         for module in (G, H, AQ, polynomial):
-            mp.setattr(module, "quotient", quotient_)
+            mp.setattr(module, "quotient", recorder("quotient"))
         clear_caches()  # Hom, splits and Omega must compute, not hit a cache
         for m in seen["u"]:
             for build in (radical, socle, top, H.omega_with_maps,
@@ -810,7 +823,8 @@ def graded_calls(candidates, covers):
     return seen
 
 
-def assert_same_quotient(fast, slow):
+def assert_same_pair(fast, slow):
+    """Same module and map bytes for (module, map) pairs."""
     (q, proj), (q_ref, proj_ref) = fast, slow
     assert q.weights == q_ref.weights
     assert summand_bytes([(q, proj.matrix)]) == summand_bytes(
@@ -825,16 +839,39 @@ def test_component_basis_against_per_weight_eliminations(graded_calls):
             basis_bytes([RG.weight_component_basis(m, vectors)]))
 
 
+def test_submodule_against_homogenizing_submodule(graded_calls, monkeypatch):
+    calls = graded_calls["subspace"]
+    assert len(calls) > 2000
+    for m, basis in calls:
+        assert_same_pair(G.submodule_from_subspace(m, basis),
+                         RG.submodule_from_subspace(m, basis))
+    # one elimination per call
+    eliminations = []
+    real = PrimeField.rref
+    monkeypatch.setattr(PrimeField, "rref",
+                        lambda ff, a: eliminations.append(1) or real(ff, a))
+    for m, basis in calls:
+        G.submodule_from_subspace(m, basis)
+    assert len(eliminations) == len(calls)
+
+
+def test_socle_span_against_highest_weight_closure(graded_calls):
+    mods = [m for m in graded_calls["u"] if m.algebra.kind == "sl2r1"]
+    assert len(mods) > 300
+    for m in mods:
+        assert m.field.same_column_space(G._socle_span(m), RG.socle_span(m))
+
+
 def test_quotient_against_homogenizing_quotient(graded_calls):
     calls = graded_calls["quotient"]
     assert len(calls) > 1000
     assert len(graded_calls["pushout"]) >= graded_calls["sequences"] > 10
     for m, sub in calls:
-        assert_same_quotient(quotient(m, sub), RG.quotient(m, sub))
+        assert_same_pair(quotient(m, sub), RG.quotient(m, sub))
 
 
 def test_u_poly_against_submodule_route(graded_calls):
     mods = graded_calls["u"]
     assert sum(m.algebra.kind == "borel" for m in mods) > 300
     for m in mods:
-        assert_same_quotient(polynomial.u_poly(m), RG.u_poly(m))
+        assert_same_pair(polynomial.u_poly(m), RG.u_poly(m))

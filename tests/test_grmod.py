@@ -138,9 +138,15 @@ class TestSubquotients:
         m = direct_sum([C.simple_hat(P, 0),
                         shift(C.simple_hat(P, 0), (3, 0))])
         span = np.array([[1], [1]], dtype=np.int64)
-        for build in (quotient, submodule_from_subspace):
-            with pytest.raises(ValueError, match="subspace is not graded"):
-                build(m, span)
+        # e1 + e2 and e1 - e2 span all of m, a graded subspace, but neither
+        # column is a weight vector
+        mixed = np.array([[1, 1], [1, -1]], dtype=np.int64)
+        for build in (quotient, submodule_from_subspace,
+                      lambda mod, cols: submodule_span(mod, list(cols.T))):
+            for columns in (span, mixed):
+                with pytest.raises(ValueError,
+                                   match="subspace is not graded"):
+                    build(m, columns)
 
     def test_non_invariant_span_is_rejected(self, v6):
         # the lowest weight vector of V(6) is not killed by E

@@ -1,13 +1,12 @@
 """Projective covers, syzygies, the Auslander-Reiten translate, Ext groups,
 almost split sequences, Betti numbers, complexity and rank probes."""
 
-import numpy as np
 import pytest
 
 from grquiver import constructions as C
 from grquiver import homological as H
-from grquiver.grmod import (character_module, decompose, direct_sum, dual,
-                            is_isomorphic, shift, validate)
+from grquiver.grmod import (character_module, decompose, dual, is_isomorphic,
+                            shift, validate)
 
 P = 3
 

@@ -5,10 +5,8 @@ the quasi-hereditary evidence report for the borel backend."""
 import pytest
 
 from grquiver import constructions as C
-from grquiver import homological as H
 from grquiver import polynomial as PY
-from grquiver.grmod import (character_module, decompose, dual,
-                            is_isomorphic, shift, validate)
+from grquiver.grmod import decompose, dual, is_isomorphic, shift, validate
 
 P = 3
 
