@@ -1,12 +1,13 @@
 """Assembly and analysis of AR quivers: component exploration, wings,
-polynomial parts, degree-d block quivers, template matching against the mesh
-quivers Z[A_n]/<tau^m>, symmetry and shift-equivalence reports, DOT output."""
+degree-d block quivers, template matching against the mesh quivers
+Z[A_n]/<tau^m>, symmetry and shift-equivalence reports, DOT output."""
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import constructions, homological, polynomial
 from .constructions import FamilyLabel
@@ -17,6 +18,11 @@ from .grmod import (AlgebraKind, GradedModule, Weight, decompose, dual,
 
 # ---------------------------------------------------------------------------
 # canonical identification
+
+
+def _weight_key(m: GradedModule) -> tuple[Weight, ...]:
+    """The sorted weights: isomorphic modules share them."""
+    return tuple(sorted(m.weights))
 
 
 def identify(m: GradedModule) -> FamilyLabel | None:
@@ -89,16 +95,31 @@ class VertexLabel:
 
 @dataclass
 class ARQuiver:
-    vertices: dict[str, VertexLabel] = field(default_factory=dict)
     arrows: dict[tuple[str, str], int] = field(default_factory=dict)
     tau: dict[str, str] = field(default_factory=dict)
     sequences: list[tuple[str, tuple[str, ...], str]] = field(
         default_factory=list)
     _opaque_count: int = 0
+    _vertices: dict[str, VertexLabel] = field(default_factory=dict)
+    # vertex names by the `_weight_key` of their module, in insertion order
+    _by_weights: dict[tuple[Weight, ...], list[str]] = field(
+        default_factory=dict, repr=False)
+
+    @property
+    def vertices(self) -> Mapping[str, VertexLabel]:
+        """The vertices by name, read-only: `add_vertex` inserts them."""
+        return MappingProxyType(self._vertices)
+
+    def add_vertex(self, v: VertexLabel) -> None:
+        """Insert v into the vertices and the weight index."""
+        self._vertices[v.name] = v
+        self._by_weights.setdefault(_weight_key(v.module), []).append(v.name)
 
     def find_vertex(self, m: GradedModule) -> str | None:
-        for name, v in self.vertices.items():
-            if is_isomorphic(v.module, m) is not None:
+        """The first vertex isomorphic to m; only vertices with m's weights
+        are tested."""
+        for name in self._by_weights.get(_weight_key(m), ()):
+            if is_isomorphic(self._vertices[name].module, m) is not None:
                 return name
         return None
 
@@ -117,7 +138,7 @@ class ARQuiver:
             name = f"{name}#{self._opaque_count}"
         simple = (m.algebra.kind == "sl2r1" and m.dim <= m.algebra.p
                   and lab is not None and lab.family == "L")
-        self.vertices[name] = VertexLabel(name, lab, m, simple=simple)
+        self.add_vertex(VertexLabel(name, lab, m, simple=simple))
         return name
 
     def add_arrow(self, src: str, tgt: str, mult: int = 1) -> None:
@@ -157,7 +178,9 @@ class ARQuiver:
 
     def induced(self, names: set[str]) -> "ARQuiver":
         q = ARQuiver()
-        q.vertices = {n: v for n, v in self.vertices.items() if n in names}
+        for n, v in self.vertices.items():
+            if n in names:
+                q.add_vertex(v)
         q.arrows = {(s, t): mult for (s, t), mult in self.arrows.items()
                     if s in names and t in names}
         q.tau = {v: t for v, t in self.tau.items()
@@ -303,12 +326,6 @@ def wing_modules(v: GradedModule, _depth: int = 0) -> list[GradedModule]:
     return out
 
 
-def polynomial_part(q: ARQuiver) -> ARQuiver:
-    keep = {n for n, v in q.vertices.items()
-            if polynomial.is_polynomial(v.module).is_polynomial}
-    return q.induced(keep)
-
-
 # ---------------------------------------------------------------------------
 # degree-d block enumeration (sl2r1 backend)
 
@@ -333,6 +350,7 @@ def enumerate_degree_candidates(p: int, d: int
     """All indecomposable polynomial modules of weight degree d, as shifted
     members of the classification families."""
     out: list[tuple[FamilyLabel, GradedModule]] = []
+    kept: dict[tuple[Weight, ...], list[GradedModule]] = {}
 
     def push(lab: FamilyLabel):
         try:
@@ -344,8 +362,10 @@ def enumerate_degree_candidates(p: int, d: int
             return
         if [mult for _, mult in decompose(m)] != [1]:
             return  # e.g. V(sp + p - 1) splits into Steinberg shifts
-        if any(is_isomorphic(other, m) is not None for _, other in out):
+        same_weights = kept.setdefault(_weight_key(m), [])
+        if any(is_isomorphic(other, m) is not None for other in same_weights):
             return
+        same_weights.append(m)
         out.append((lab, m))
 
     for e in range(d + 1):
@@ -469,8 +489,10 @@ def schur_block_quiver(p: int, d: int,
         raise ValueError(f"seed {block_seed} is decomposable; choose an "
                          "indecomposable seed with --seed-label")
     cands = enumerate_degree_candidates(p, d)
+    key = _weight_key(seed_mod)
     seed_idx = next((i for i, (_, m) in enumerate(cands)
-                     if is_isomorphic(m, seed_mod) is not None), None)
+                     if _weight_key(m) == key
+                     and is_isomorphic(m, seed_mod) is not None), None)
     if seed_idx is None:
         raise RuntimeError("seed not found among enumerated candidates")
     block = next(b for b in partition_blocks(cands) if seed_idx in b)
@@ -478,18 +500,30 @@ def schur_block_quiver(p: int, d: int,
     q = ARQuiver()
     for i in sorted(block, key=lambda i: str(cands[i][0])):
         lab, m = cands[i]
-        # m is Ext-injective iff its dual is Ext-projective
-        q.vertices[str(lab)] = VertexLabel(
-            str(lab), lab, m, simple=lab.family == "L", ql=lab.ql(p),
-            projective_in_poly=polynomial.ext_projective_in_poly(m),
-            injective_in_poly=polynomial.ext_projective_in_poly(dual(m)))
+        q.add_vertex(VertexLabel(str(lab), lab, m, simple=lab.family == "L",
+                                 ql=lab.ql(p)))
 
-    def vertex(piece: GradedModule) -> str:
+    def vertex(piece: GradedModule, step: str = "block closure") -> str:
         found = q.find_vertex(piece)
         if found is None:  # the enumeration lists every indecomposable
-            raise RuntimeError(f"block closure: piece of dim {piece.dim} and "
+            raise RuntimeError(f"{step}: piece of dim {piece.dim} and "
                                f"support {sorted(piece.support())} not in block")
         return found
+
+    # The polynomial modules of degree d form a Serre subcategory, so the
+    # projective cover there of a simple L of the block is u(P(L)), the
+    # largest polynomial quotient of its ambient cover, and the injective
+    # hull of L is dual(u(P(dual L))): these are the Ext-projective and the
+    # Ext-injective vertices.
+    cover = polynomial.poly_projective_cover
+    for name, v in q.vertices.items():
+        if v.simple:
+            proj = vertex(cover(v.module)[0],
+                          f"Ext-projective cover u(P({name}))")
+            inj = vertex(dual(cover(dual(v.module))[0]),
+                         f"Ext-injective hull dual(u(P(dual {name})))")
+            q.vertices[proj].projective_in_poly = True
+            q.vertices[inj].injective_in_poly = True
 
     for name, v in q.vertices.items():
         if v.projective_in_poly:
@@ -519,7 +553,7 @@ def build_template(n: int, m: int) -> ARQuiver:
     for i in range(m):
         for j in range(1, n + 1):
             name = f"({i},{j})"
-            q.vertices[name] = VertexLabel(name, None, zero_module(dummy_alg))
+            q.add_vertex(VertexLabel(name, None, zero_module(dummy_alg)))
             q.tau[name] = f"({(i + 1) % m},{j})"
             if j < n:
                 q.add_arrow(name, f"({i},{j + 1})")

@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grmod import (AlgebraKind, GradedModule, Weight, character_module,
-                    direct_sum, dual, is_isomorphic, shift,
-                    submodule_from_subspace, submodule_span, top, weyl_twist)
+                    dual, is_isomorphic, shift, submodule_from_subspace,
+                    submodule_span, top, weyl_twist)
 
 
 def sl2_algebra(p: int) -> AlgebraKind:
@@ -97,11 +97,6 @@ def w_hat_twisted(p: int, d: int) -> GradedModule:
     return weyl_twist(w_hat(p, d))
 
 
-def quasi_length_of_w(p: int, d: int) -> int:
-    s, _ = _w_shape(p, d)
-    return s
-
-
 def sl2_tensor(m: GradedModule, n: GradedModule) -> GradedModule:
     """Tensor product over the comultiplication g -> g x 1 + 1 x g."""
     if m.algebra != n.algebra or m.algebra.kind != "sl2r1":
@@ -153,15 +148,6 @@ def projective_indec(p: int, a: int) -> GradedModule:
         raise RuntimeError(f"the Casimir eigenspace of St (x) L({p - 1 - a}) "
                            f"for L({a}) is not Q({a})")
     return _read_only(shift(piece, lam))
-
-
-def regular_graded(p: int) -> GradedModule:
-    """A graded projective generator whose forgetful image is the left
-    regular module: sum over a of Q(a) with multiplicity dim L(a) = a+1."""
-    parts = []
-    for a in range(p):
-        parts.extend([projective_indec(p, a)] * (a + 1))
-    return direct_sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +212,12 @@ def outer_tensor(m: GradedModule, n: GradedModule) -> GradedModule:
 _LABEL_RE = re.compile(
     r"^(?P<fam>Vo|V|W|L|Q)\((?P<d>\d+)\)(?P<w0>w0)?"
     r"(?P<shift>\+\(-?\d+,-?\d+\))?$")
+_ALGEBRA = r"r=(?P<r>\d+)(,offset=(?P<offset>\d+))?(?P<raising>,raising)?"
 _Z_RE = re.compile(
-    r"^Z\((?P<a>-?\d+),(?P<b>-?\d+)\)@r=(?P<r>\d+)"
-    r"(?P<shift>\+\(-?\d+,-?\d+\))?$")
+    r"^Z\((?P<a>-?\d+),(?P<b>-?\d+)\)@" + _ALGEBRA
+    + r"(?P<shift>\+\(-?\d+,-?\d+\))?$")
 _C_RE = re.compile(
-    r"^C\((?P<a>-?\d+),(?P<b>-?\d+)\)(@r=(?P<r>\d+))?"
+    r"^C\((?P<a>-?\d+),(?P<b>-?\d+)\)(@" + _ALGEBRA + r")?"
     r"(?P<shift>\+\(-?\d+,-?\d+\))?$")
 _SHIFT_RE = re.compile(r"^\+\((-?\d+),(-?\d+)\)$")
 
@@ -242,10 +229,11 @@ class FamilyLabel:
     family: str  # V | Vo | W | Wwo | L | Q | Z | Char
     d: int = 0
     weight: Weight = (0, 0)  # for Z / Char
-    r: int = 1  # for Z / Char (a Char name shows it when r != 1)
+    # for Z / Char: the borel algebra's number of variables, first variable
+    # and weight convention, named as "@r=k[,offset=o][,raising]"; a Char
+    # name leaves out the default "@r=1"
+    r: int = 1
     shift: Weight = (0, 0)
-    # for Z / Char: the borel algebra's first variable and weight convention
-    # (left out of the name)
     offset: int = 1
     raising: bool = False
 
@@ -253,11 +241,16 @@ class FamilyLabel:
         sh = ""
         if self.shift != (0, 0):
             sh = f"+({self.shift[0]},{self.shift[1]})"
+        over = f"@r={self.r}"
+        if self.offset != 1:
+            over += f",offset={self.offset}"
+        if self.raising:
+            over += ",raising"
         if self.family == "Z":
-            return f"Z({self.weight[0]},{self.weight[1]})@r={self.r}{sh}"
+            return f"Z({self.weight[0]},{self.weight[1]}){over}{sh}"
         if self.family == "Char":
-            r = f"@r={self.r}" if self.r != 1 else ""
-            return f"C({self.weight[0]},{self.weight[1]}){r}{sh}"
+            over = "" if over == "@r=1" else over
+            return f"C({self.weight[0]},{self.weight[1]}){over}{sh}"
         fam = {"Wwo": "W"}.get(self.family, self.family)
         w0 = "w0" if self.family == "Wwo" else ""
         return f"{fam}({self.d}){w0}{sh}"
@@ -313,7 +306,8 @@ def _parse_shift(s: str | None) -> Weight:
 
 def parse_label(s: str) -> FamilyLabel:
     """Parse strings like "V(7)", "Vo(7)+(1,2)", "W(6)w0+(0,3)", "L(2)",
-    "Q(0)", "Z(2,0)@r=1", "C(1,1)", "C(0,0)@r=2"."""
+    "Q(0)", "Z(2,0)@r=1", "Z(0,0)@r=1,offset=2,raising", "C(1,1)",
+    "C(0,0)@r=2", "C(0,0)@r=1,raising"."""
     s = s.strip()
     mm = _LABEL_RE.match(s)
     if mm:
@@ -325,15 +319,13 @@ def parse_label(s: str) -> FamilyLabel:
             fam = "Wwo"
         return FamilyLabel(fam, d=int(mm.group("d")),
                            shift=_parse_shift(mm.group("shift")))
-    mm = _Z_RE.match(s)
-    if mm:
-        return FamilyLabel("Z", weight=(int(mm.group("a")), int(mm.group("b"))),
-                           r=int(mm.group("r")),
-                           shift=_parse_shift(mm.group("shift")))
-    mm = _C_RE.match(s)
-    if mm:
-        return FamilyLabel("Char",
-                           weight=(int(mm.group("a")), int(mm.group("b"))),
-                           r=int(mm.group("r") or 1),
-                           shift=_parse_shift(mm.group("shift")))
+    for fam, regex in (("Z", _Z_RE), ("Char", _C_RE)):
+        mm = regex.match(s)
+        if mm:
+            return FamilyLabel(fam,
+                               weight=(int(mm.group("a")), int(mm.group("b"))),
+                               r=int(mm.group("r") or 1),
+                               shift=_parse_shift(mm.group("shift")),
+                               offset=int(mm.group("offset") or 1),
+                               raising=mm.group("raising") is not None)
     raise LabelParseError(f"cannot parse family label {s!r} (position 0)")

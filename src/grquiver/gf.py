@@ -179,13 +179,3 @@ class PrimeField:
         a = self.reduce(m)
         _, pivots, _ = self.rref(a)
         return a[:, pivots]
-
-    def in_column_space(self, m: np.ndarray, v: np.ndarray) -> bool:
-        return self.solve(m, v) is not None
-
-    def same_column_space(self, a: np.ndarray, b: np.ndarray) -> bool:
-        ra = self.rank(a)
-        rb = self.rank(b)
-        if ra != rb:
-            return False
-        return self.rank(np.hstack([self.reduce(a), self.reduce(b)])) == ra

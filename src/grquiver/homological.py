@@ -1,5 +1,5 @@
 """Projective covers, Heller shifts, AR translates, Ext^1 and almost split
-sequences, Betti sequences, complexity and rank-variety probes."""
+sequences, Betti sequences and complexity."""
 
 from __future__ import annotations
 
@@ -305,7 +305,35 @@ def almost_split_sequence(v: GradedModule) -> ShortExact:
     The class is the (unique up to scalar) nonzero element of
     Ext^1(v, tau v) killed by precomposition with every radical
     endomorphism of v; realized as a pushout of the minimal presentation.
+
+    The sequence commutes with shift, so it is computed, and checked exact
+    and non-split, once per shift class, as the presentation is:
+    `_almost_split` (a bounded LRU cache) is keyed by
+    `grmod._shift_class`, the left and middle terms are shifted back and
+    the right term is v itself.
     """
+    mu, weights, action = _shift_class(v)
+    (lw, la), (mw, ma), inj, surj = _almost_split(v.algebra, weights, action)
+    left = _unpacked(v.algebra, mu, lw, la)
+    middle = _unpacked(v.algebra, mu, mw, ma)
+    return ShortExact(left, middle, v, ModuleMap(left, middle, inj),
+                      ModuleMap(middle, v, surj))
+
+
+@lru_cache(maxsize=256)
+def _almost_split(algebra: AlgebraKind, weights: tuple[Weight, ...],
+                  action: bytes) -> tuple:
+    """The almost split sequence ending at the module with these weights
+    and this packed action, packed: ((left weights, left action), (middle
+    weights, middle action), inj, surj)."""
+    seq = _almost_split_uncached(_unpacked(algebra, (0, 0), weights, action))
+    return ((seq.left.weights, _packed_action(seq.left)),
+            (seq.middle.weights, _packed_action(seq.middle)),
+            _packed(algebra, seq.inj.matrix), _packed(algebra, seq.surj.matrix))
+
+
+def _almost_split_uncached(v: GradedModule) -> ShortExact:
+    """`almost_split_sequence` computed on v."""
     if v.dim == 0 or is_projective(v):
         raise ValueError("almost split sequence needs an indecomposable "
                          "non-projective end term")
@@ -375,7 +403,7 @@ def almost_split_sequence(v: GradedModule) -> ShortExact:
 
 
 # ---------------------------------------------------------------------------
-# Betti numbers, complexity, rank probes
+# Betti numbers and complexity
 
 
 @dataclass
@@ -428,25 +456,3 @@ def complexity(m: GradedModule) -> int:
         return 1
     return 1 if _free(m, x % alg.p) else 2
 
-
-def rank_probe(m: GradedModule, x) -> dict:
-    """Freeness of m over k[x]/(x^p) for a nilpotent x in sl2.
-
-    Args:
-        x: "E", "F", or a coefficient triple (a, b, c) meaning aE + bF + cH.
-    """
-    if m.algebra.kind != "sl2r1":
-        raise ValueError("rank_probe applies to the sl2r1 backend")
-    ff = m.field
-    if x == "E":
-        coeffs = (1, 0, 0)
-    elif x == "F":
-        coeffs = (0, 1, 0)
-    else:
-        coeffs = tuple(int(c) % ff.p for c in x)
-    a, b, c = coeffs
-    if (a, b, c) == (0, 0, 0) or (c * c + a * b) % ff.p != 0:
-        raise ValueError(f"element {coeffs} is not nilpotent in sl2")
-    op = (a * m.action["E"] + b * m.action["F"] + c * m.action["H"]) % ff.p
-    expected = m.dim * (ff.p - 1) // ff.p if m.dim % ff.p == 0 else None
-    return {"free": _free(m, op), "rank": ff.rank(op), "expected": expected}

@@ -1,7 +1,7 @@
 """The polynomial-representation layer: torsion radical t (largest submodule
-with polynomial support), its quotient partner u, Ext-projectivity inside the
-polynomial category, almost split sequences there, resolutions, and the
-quasi-hereditary check for the degree-d blocks on the borel side."""
+with polynomial support), its quotient partner u, almost split sequences and
+resolutions inside the polynomial category, and the quasi-hereditary check
+for the degree-d blocks on the borel side."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions, homological
-from .grmod import (GradedModule, ModuleMap, Weight, _closure_basis,
-                    _highest_weight_kernel, dual, hom_space,
-                    is_polynomial_weight, quotient, submodule_from_subspace,
-                    weight_degree, zero_module)
+from .grmod import (GradedModule, ModuleMap, Weight, _closure_basis, dual,
+                    hom_space, is_polynomial_weight, quotient,
+                    submodule_from_subspace, weight_degree, zero_module)
 
 
 @dataclass
@@ -49,34 +48,6 @@ def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     return quotient(m, _nonpolynomial_closure(m))
 
 
-def has_polynomial_simple(m: GradedModule) -> bool:
-    """True iff m has a simple submodule with polynomial support, that is,
-    iff t(m) != 0.
-
-    Over the borel algebra the simples are the characters: a vector at a
-    polynomial weight killed by every X_i.  Over sl2r1 a highest weight
-    vector at weight w on which H acts by a spans L(a), with weights
-    w - i(1, -1) for i = 0..a.
-    """
-    if m.algebra.kind == "borel":
-        good = [j for j in range(m.dim) if is_polynomial_weight(m.weights[j])]
-        rank = m.field.rank(np.vstack([m.action[g][:, good]
-                                       for g in m.algebra.generators()]))
-        return rank < len(good)
-    for x, y in dict.fromkeys(m.weights):
-        idx = m.weight_indices((x, y))
-        if (y >= 0 and x >= int(m.action["H"][idx[0], idx[0]])
-                and _highest_weight_kernel(m, idx).size):
-            return True
-    return False
-
-
-def ext_projective_in_poly(v: GradedModule) -> bool:
-    """True iff v is projective over the ambient algebra or t(tau v) = 0."""
-    return (homological.is_projective(v)
-            or not has_polynomial_simple(homological.tau(v)))
-
-
 def induced_sequence(seq: homological.ShortExact
                      ) -> homological.ShortExact:
     """Apply t to the left and middle of a sequence with polynomial right
@@ -96,15 +67,21 @@ def induced_sequence(seq: homological.ShortExact
 
 def almost_split_in_poly(v: GradedModule) -> homological.ShortExact:
     """Almost split sequence of the polynomial category: t applied to the
-    ambient almost split sequence ending at v."""
+    ambient almost split sequence ending at v.
+
+    v is Ext-projective there, and no sequence ends at it, exactly when v
+    is projective over the ambient algebra or t(tau v) = 0.
+    """
     verdict = is_polynomial(v)
     if not verdict.is_polynomial:
         raise ValueError("end term must be polynomial")
-    if ext_projective_in_poly(v):
-        raise ValueError("end term is Ext-projective in the polynomial "
-                         "category; no almost split sequence ends at it")
-    ambient = homological.almost_split_sequence(v)
-    seq = induced_sequence(ambient)
+    ext_projective = ValueError("end term is Ext-projective in the polynomial "
+                                "category; no almost split sequence ends at it")
+    if homological.is_projective(v):
+        raise ext_projective
+    seq = induced_sequence(homological.almost_split_sequence(v))
+    if seq.left.dim == 0:
+        raise ext_projective
     errs = seq.check()
     if errs:
         raise RuntimeError("induced sequence is not exact: " + "; ".join(errs))
@@ -120,9 +97,10 @@ def almost_split_in_poly(v: GradedModule) -> homological.ShortExact:
 def poly_projective_cover(v: GradedModule
                           ) -> tuple[GradedModule, ModuleMap]:
     """Cover of v by a projective object of the polynomial category: u of
-    the ambient projective cover with the induced epi."""
+    the ambient projective cover (that of `omega_with_maps`, cached by
+    shift class) with the induced epi."""
     ff = v.field
-    P, epi = homological.projective_cover(v)
+    _, _, P, epi = homological.omega_with_maps(v)
     uP, projP = u_poly(P)
     # epi kills the non-polynomial-generated submodule, so it factors
     rep = ff.solve_matrix(projP.matrix, ff.eye(uP.dim))
@@ -155,15 +133,6 @@ def poly_injective_resolution(v: GradedModule, n: int) -> list[GradedModule]:
     """First n terms of a minimal injective resolution inside the
     polynomial category: the duals of the projective resolution of v^o."""
     return [dual(t) for t in poly_projective_resolution(dual(v), n)]
-
-
-def pd_in_poly(v: GradedModule, cap: int = 10) -> int | str:
-    """Projective dimension in the polynomial category, or ">=cap"."""
-    terms = poly_projective_resolution(v, cap + 1)
-    for i, t in enumerate(terms):
-        if t.dim == 0:
-            return i - 1
-    return f">={cap}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,46 @@
-"""The polynomial-layer paths that the duality replaced, kept as the
+"""The polynomial-layer paths that faster ones replaced, kept as the
 reference: t as a fixpoint shrink of the polynomial weight spaces, the
-injective hull in the polynomial category as t of the ambient hull, and the
-borel projective cover as a walk over the free module's action."""
+injective hull in the polynomial category as t of the ambient hull, the
+borel projective cover as a walk over the free module's action, and
+Ext-projectivity in the polynomial category by the tau test."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from grquiver import constructions
-from grquiver.grmod import (GradedModule, ModuleMap, direct_sum, dual,
-                            is_polynomial_weight, quotient,
+from grquiver import constructions, homological
+from grquiver.grmod import (GradedModule, ModuleMap, _highest_weight_kernel,
+                            direct_sum, dual, is_polynomial_weight, quotient,
                             submodule_from_subspace, top, zero_module)
 from grquiver.homological import projective_cover
+
+
+def has_polynomial_simple(m: GradedModule) -> bool:
+    """True iff m has a simple submodule with polynomial support, that is,
+    iff t(m) != 0.
+
+    Over the borel algebra the simples are the characters: a vector at a
+    polynomial weight killed by every X_i.  Over sl2r1 a highest weight
+    vector at weight w on which H acts by a spans L(a), with weights
+    w - i(1, -1) for i = 0..a.
+    """
+    if m.algebra.kind == "borel":
+        good = [j for j in range(m.dim) if is_polynomial_weight(m.weights[j])]
+        rank = m.field.rank(np.vstack([m.action[g][:, good]
+                                       for g in m.algebra.generators()]))
+        return rank < len(good)
+    for x, y in dict.fromkeys(m.weights):
+        idx = m.weight_indices((x, y))
+        if (y >= 0 and x >= int(m.action["H"][idx[0], idx[0]])
+                and _highest_weight_kernel(m, idx).size):
+            return True
+    return False
+
+
+def ext_projective_in_poly(v: GradedModule) -> bool:
+    """True iff v is projective over the ambient algebra or t(tau v) = 0."""
+    return (homological.is_projective(v)
+            or not has_polynomial_simple(homological.tau(v)))
 
 
 def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:

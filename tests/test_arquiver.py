@@ -1,6 +1,7 @@
 """Canonical labeling, component exploration, wings, block enumeration,
 template matching and quiver serialization."""
 
+import itertools
 import json
 
 import pytest
@@ -37,16 +38,15 @@ class TestIdentify:
         lowering = C.borel_algebra(P, 1)
         raising = C.borel_algebra(P, 1, raising=True)
         cases = [(C.borel_projective((0, 0), lowering), "Z(0,0)@r=1"),
-                 (C.borel_projective((0, 0), raising), "Z(0,0)@r=1"),
+                 (C.borel_projective((0, 0), raising), "Z(0,0)@r=1,raising"),
                  (dual(C.borel_projective((0, 0), lowering)),
-                  "Z(-2,2)@r=1")]
+                  "Z(-2,2)@r=1,raising")]
         for m, text in cases:
             assert str(AQ.identify(m)) == text
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_borel_labels_rebuild_their_module(self, p):
-        # the label keeps the algebra's offset and weight convention, though
-        # its name leaves them out
+        # the label keeps the algebra's offset and weight convention
         mods = [dual(C.borel_projective((0, 0), C.borel_algebra(p, 1)))]
         for alg in (C.borel_algebra(p, 1, raising=True),
                     C.borel_algebra(p, 1, offset=2)):
@@ -58,15 +58,25 @@ class TestIdentify:
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_character_names_rebuild_their_module(self, r):
-        # a character's name keeps r, so parsing it rebuilds the module over
-        # the same algebra
-        for p in (3, 5):
+        # the names of a character and of a free module keep r, the offset
+        # and the weight convention, so parsing one rebuilds the module over
+        # the same algebra; names over the default algebra are unchanged
+        for p, offset, raising in itertools.product((3, 5), (1, 2),
+                                                    (False, True)):
+            alg = C.borel_algebra(p, r, offset, raising)
             for w in ((0, 0), (1, -1), (2, 3)):
-                m = character_module(C.borel_algebra(p, r), w)
-                name = str(AQ.identify(m))
-                assert ("@r=" in name) == (r != 1)
-                rebuilt = C.parse_label(name).build(p)
-                assert is_isomorphic(m, rebuilt) is not None, name
+                for m in (character_module(alg, w),
+                          C.borel_projective(w, alg)):
+                    name = str(AQ.identify(m))
+                    free = m.dim > 1
+                    assert name.startswith("Z(" if free else "C(")
+                    assert ("@r=" in name) == (
+                        free or r != 1 or offset != 1 or raising)
+                    assert (",offset=2" in name) == (offset == 2)
+                    assert name.endswith(",raising") == raising
+                    rebuilt = C.parse_label(name).build(p)
+                    assert rebuilt.algebra == alg, name
+                    assert is_isomorphic(m, rebuilt) is not None, name
 
     def test_unknown_returns_none(self):
         # a decomposable module matches no single family label
@@ -113,8 +123,9 @@ class TestExploreComponent:
         assert w_patch.mesh_violations() == []
 
     def test_polynomial_part_is_wing(self, w_patch):
-        poly = AQ.polynomial_part(w_patch)
-        assert set(poly.vertices) == {"W(6)", "W(3)+(3,0)", "W(3)+(0,3)"}
+        poly = {n for n, v in w_patch.vertices.items()
+                if PY.is_polynomial(v.module).is_polynomial}
+        assert poly == {"W(6)", "W(3)+(3,0)", "W(3)+(0,3)"}
 
     def test_tau_recorded(self, w_patch):
         name = w_patch.find_vertex(C.w_hat(P, 6))
@@ -154,6 +165,16 @@ class TestBlocks:
         s = q.stable_part()
         assert len(s.vertices) == 9
         assert len(s.arrows) == 12
+
+    def test_missing_ext_projective_names_its_simple(self, monkeypatch):
+        # a truncated cover that is not a vertex of the block is an error
+        # naming the simple and the step, not a vertex left unflagged
+        real = PY.poly_projective_cover
+        monkeypatch.setattr(PY, "poly_projective_cover",
+                            lambda m: (shift(real(m)[0], (P, P)), None))
+        with pytest.raises(RuntimeError,
+                           match=r"^Ext-projective cover u\(P\(L\(\d\)"):
+            AQ.schur_block_quiver(P, 3, "V(3)")
 
     def test_template_match_degree3(self):
         q = AQ.schur_block_quiver(P, 3, "V(3)")

@@ -124,11 +124,12 @@ class TestBorelAndCheck:
         code, out = run(capsys, "--p", "3", "functor", "tau", str(f),
                         "--emit", "summary")
         assert code == 0
-        assert "identified: C(1,-1)" in out
+        assert "identified: C(1,-1)@r=1,raising" in out
         code, out = run(capsys, "--p", "3", "ar", str(f), "--max-ql", "1",
                         "--max-tau", "1")
         assert code == 0
-        assert '"C(0,0)" -> "C(1,-1)" [style=dashed' in out
+        assert ('"C(0,0)@r=1,raising" -> "C(1,-1)@r=1,raising" [style=dashed'
+                in out)
 
     def test_dual_of_borel_character(self, capsys, tmp_path):
         # `functor dual` takes the duality of the module's backend

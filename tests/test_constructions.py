@@ -1,5 +1,5 @@
-"""Module families, projective covers of the regular representation,
-family labels and outer tensor products."""
+"""Module families, the graded projective indecomposables, family labels
+and outer tensor products."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grquiver import constructions as C
-from grquiver.grmod import (decompose, is_isomorphic, shift, socle, top,
-                            validate, weyl_twist)
+from grquiver.grmod import (is_isomorphic, shift, socle, top, validate,
+                            weyl_twist)
+from grquiver.homological import is_projective
 
 
 class TestWeylFamily:
@@ -58,10 +59,6 @@ class TestWFamily:
         wt = C.w_hat_twisted(3, 3)
         assert is_isomorphic(wt, weyl_twist(C.w_hat(3, 3))) is not None
 
-    def test_quasi_length(self):
-        assert C.quasi_length_of_w(3, 3) == 1
-        assert C.quasi_length_of_w(3, 7) == 2
-
 
 class TestProjectives:
     @pytest.mark.parametrize("p", [3, 5])
@@ -87,16 +84,10 @@ class TestProjectives:
         assert validate(C.projective_indec(3, a)) == []
 
     def test_steinberg_is_projective_simple(self):
+        # St = L(p-1) is its own projective cover
         st_mod = C.simple_hat(3, 2)
-        # St = L(p-1) is its own projective cover; projective_indec is only
-        # defined for a < p-1, so check via the regular module instead
-        reg = C.regular_graded(3)
-        assert reg.dim == 27
-        assert validate(reg) == []
-
-    def test_regular_multiplicities(self):
-        parts = decompose(C.regular_graded(3))
-        assert sum(m.dim * mult for m, mult in parts) == 27
+        assert is_projective(st_mod)
+        assert is_isomorphic(C.projective_indec(3, 2), st_mod) is not None
 
 
 class TestBorel:

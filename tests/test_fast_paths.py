@@ -178,9 +178,16 @@ FIELDS = {p: PrimeField(p) for p in (3, 5)}
 
 
 def clear_caches():
-    """Empty the three shift-class caches."""
-    for cache in (G._hom_space_cached, G._decompose_cached, H._presentation):
+    """Empty the four shift-class caches."""
+    for cache in (G._hom_space_cached, G._decompose_cached, H._presentation,
+                  H._almost_split):
         cache.cache_clear()
+
+
+def same_column_space(ff, a, b):
+    """a and b span the same column space."""
+    rank = ff.rank(a)
+    return rank == ff.rank(b) == ff.rank(np.hstack([a, b]))
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +406,69 @@ def test_tau_walk_misses_once_per_shift_class(d):
     assert sorted(m.weights) != sorted(C.w_hat(3, d).weights)
 
 
+def sequence_bytes(seq):
+    """Weights, action bytes and map bytes of the left and middle terms and
+    the maps of a short exact sequence."""
+    out = []
+    for mod in (seq.left, seq.middle):
+        out.append(mod.weights)
+        for g in mod.algebra.generators():
+            out += [mod.action[g].dtype, mod.action[g].tobytes()]
+    for f in (seq.inj, seq.surj):
+        out += [f.matrix.dtype, f.matrix.tobytes()]
+    return out
+
+
+def class_origin(m):
+    """m moved by a legal shift to its shift class's origin: `legal_origin`
+    over sl2r1, the support minimum (0, 0) over the borel algebra."""
+    if m.algebra.kind == "sl2r1":
+        return legal_origin(m)
+    return G.shift(m, tuple(-c for c in m.support_min()))
+
+
+def almost_split_ends(key):
+    """The non-projective candidates of a slice, or over the borel algebra
+    the syzygies of k and the outer tensors of acceptance criterion 11."""
+    if key == "borel":
+        mods = [m for m in borel_graded_modules() if m.dim <= 27]
+    else:
+        mods = [lab.build(key[0]) for lab, _ in degree_candidates(*key)]
+    return [m for m in mods if not H.is_projective(m)]
+
+
+@pytest.mark.parametrize("key", SLICES + ["borel"], ids=lambda k: (
+    k if k == "borel" else f"p{k[0]}-d{k[1]}"))
+def test_almost_split_cache_is_shift_exact(key):
+    # a hit served from another shift of the same module, a cold miss and
+    # the uncached body run on the shifted module agree byte for byte, and
+    # the right term is the module itself
+    shifted = [G.shift(m, lam) for m in almost_split_ends(key)
+               for lam in SHIFTS]
+    H._almost_split.cache_clear()
+    warm = [H.almost_split_sequence(m) for m in shifted]
+    # one miss per class under legal shifts; (-2, 1) is legal at p=3 only
+    classes = {class_origin(m).to_json() for m in shifted}
+    assert H._almost_split.cache_info().misses == len(classes)
+    assert len(classes) < len(shifted)
+    for m, seq in zip(shifted, warm):
+        assert seq.right is m
+        H._almost_split.cache_clear()
+        got = sequence_bytes(seq)
+        assert got == sequence_bytes(H.almost_split_sequence(m))
+        assert got == sequence_bytes(H._almost_split_uncached(m))
+
+
+def test_almost_split_cache_hands_out_copies():
+    m = C.w_hat(3, 6)
+    first = H.almost_split_sequence(m)
+    before = sequence_bytes(first)
+    for mat in [first.inj.matrix, first.surj.matrix,
+                *first.left.action.values(), *first.middle.action.values()]:
+        mat += 1
+    assert sequence_bytes(H.almost_split_sequence(m)) == before
+
+
 def basis_bytes(basis):
     return [(b.dtype, b.tobytes()) for b in basis]
 
@@ -561,7 +631,7 @@ def test_radical_and_socle_against_pbw_operators(candidates, monkeypatch):
         rad = radical(m)[1].matrix
         rad_ref = RR.radical(m)[1].matrix
         assert rad.shape == rad_ref.shape
-        assert m.field.same_column_space(rad, rad_ref)
+        assert same_column_space(m.field, rad, rad_ref)
         content = UO._top_content(m.algebra, m.action, m.dim)
         assert m.dim - rad.shape[1] == sum(
             mult * s_dim for mult, (s_dim, _)
@@ -686,7 +756,9 @@ def ext_projectivity_inputs(candidates):
 
 
 def test_polynomial_socle_against_t_fixpoint(candidates):
-    verdicts = [(polynomial.has_polynomial_simple(m),
+    # the tau test's shortcut t(m) != 0 iff m has a polynomial simple
+    # submodule, which `test_block_flags_against_tau_test` trusts
+    verdicts = [(RPY.has_polynomial_simple(m),
                  RPY.t_poly(m)[0].dim != 0)
                 for m in ext_projectivity_inputs(candidates)]
     assert all(fast == slow for fast, slow in verdicts)
@@ -694,9 +766,54 @@ def test_polynomial_socle_against_t_fixpoint(candidates):
     for mods in candidates.values():
         for m in mods:
             for v in (m, G.dual(m)):
-                assert polynomial.ext_projective_in_poly(v) == (
+                assert RPY.ext_projective_in_poly(v) == (
                     H.is_projective(v)
                     or RPY.t_poly(H.tau(v))[0].dim == 0)
+
+
+FLAG_DEGREES = ([(3, d) for d in range(3, 13)]
+                + [(5, d) for d in range(5, 13)] + [(7, 7)])
+
+
+@pytest.mark.parametrize("p,d", FLAG_DEGREES, ids=lambda v: str(v))
+def test_block_flags_against_tau_test(p, d, monkeypatch):
+    # the flags read off u(P(L)) and dual(u(P(dual L))) for the simples L
+    # of the block against the tau test, on every vertex of every
+    # non-semisimple block; no tau is computed to build the quivers
+    cands = degree_candidates(p, d)
+    seeds = [str(cands[b[0]][0]) for b in AQ.partition_blocks(cands)
+             if len(b) > 1]
+    assert seeds
+    with monkeypatch.context() as patch:
+        for name in ("tau", "tau_inv"):
+            patch.setattr(H, name, lambda m: pytest.fail("tau was called"))
+        quivers = [AQ.schur_block_quiver(p, d, seed) for seed in seeds]
+    for q in quivers:
+        assert any(v.projective_in_poly != v.injective_in_poly
+                   for v in q.vertices.values())
+        for name, v in q.vertices.items():
+            assert v.projective_in_poly == RPY.ext_projective_in_poly(
+                v.module), name
+            assert v.injective_in_poly == RPY.ext_projective_in_poly(
+                G.dual(v.module)), name
+
+
+def test_block_quiver_tests_isomorphism_within_weight_buckets(monkeypatch):
+    # vertex lookups, the candidate dedup and the seed search compare
+    # sorted weights first: a cold schur_block_quiver(5, 18, "V(18)") made
+    # 10,228 isomorphism tests, counted this way, when each of them scanned
+    # a list; at least 90 % of them are gone
+    calls = []
+    real = G.is_isomorphic
+
+    def counted(m, n):
+        calls.append(1)
+        return real(m, n)
+    for module in (G, H, C, AQ):
+        monkeypatch.setattr(module, "is_isomorphic", counted)
+    clear_caches()
+    AQ.schur_block_quiver(5, 18, "V(18)")
+    assert 0 < len(calls) <= 1010
 
 
 def t_poly_inputs(candidates):
@@ -859,7 +976,7 @@ def test_socle_span_against_highest_weight_closure(graded_calls):
     mods = [m for m in graded_calls["u"] if m.algebra.kind == "sl2r1"]
     assert len(mods) > 300
     for m in mods:
-        assert m.field.same_column_space(G._socle_span(m), RG.socle_span(m))
+        assert same_column_space(m.field, G._socle_span(m), RG.socle_span(m))
 
 
 def test_quotient_against_homogenizing_quotient(graded_calls):

@@ -121,18 +121,6 @@ class TestSolve:
         assert np.array_equal(F3.matmul(a, inv), np.eye(2))
 
 
-class TestColumnSpace:
-    def test_membership(self):
-        a = np.array([[1, 2], [0, 0], [1, 2]], dtype=np.int64)
-        assert F3.in_column_space(a, np.array([2, 0, 2], dtype=np.int64))
-        assert not F3.in_column_space(a, np.array([0, 1, 0], dtype=np.int64))
-
-    def test_same_column_space(self):
-        a = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
-        b = F5.matmul(a, np.array([[1, 2], [3, 2]], dtype=np.int64))
-        assert F5.same_column_space(a, b)
-
-
 FIELDS = {3: F3, 5: F5}
 
 

@@ -1,5 +1,6 @@
 """Projective covers, syzygies, the Auslander-Reiten translate, Ext groups,
-almost split sequences, Betti numbers, complexity and rank probes."""
+almost split sequences, Betti numbers, complexity and freeness over a
+nilpotent element."""
 
 import pytest
 
@@ -168,17 +169,11 @@ class TestBettiAndComplexity:
 
 
 class TestRankProbe:
+    # freeness over k[x]/(x^p), the test behind is_projective and complexity
     def test_w_free_over_f(self):
-        assert H.rank_probe(C.w_hat(P, 3), "F")["free"]
+        w = C.w_hat(P, 3)
+        assert H._free(w, w.action["F"])
 
     def test_twisted_w_not_free_over_f(self):
-        assert not H.rank_probe(C.w_hat_twisted(P, 3), "F")["free"]
-
-    def test_non_nilpotent_rejected(self):
-        with pytest.raises(ValueError):
-            H.rank_probe(C.w_hat(P, 3), (0, 0, 1))
-
-    def test_borel_rejected(self):
-        alg = C.borel_algebra(P, 1)
-        with pytest.raises(ValueError):
-            H.rank_probe(character_module(alg, (0, 0)), "F")
+        w = C.w_hat_twisted(P, 3)
+        assert not H._free(w, w.action["F"])

@@ -16,16 +16,20 @@ import pytest
 
 import reference_template as RT
 from grquiver import arquiver as AQ
+from grquiver import constructions as C
+from grquiver.grmod import zero_module
 
 TEMPLATE_SHAPES = [(n, m) for n in range(1, 17) for m in range(1, 17)
                    if n * m <= 16]
 BLOCKS = [(3, d) for d in (3, 4, 6, 7)] + \
     [(5, d) for d in (5, 6, 7, 8, 10, 11, 12, 13)]
+NO_MODULE = zero_module(C.sl2_algebra(3))  # a vertex only the shape reads
 
 
 def quiver(vertices, arrows, tau) -> AQ.ARQuiver:
     q = AQ.ARQuiver()
-    q.vertices = {v: AQ.VertexLabel(v, None, None) for v in vertices}
+    for v in vertices:
+        q.add_vertex(AQ.VertexLabel(v, None, NO_MODULE))
     q.arrows = dict(arrows)
     q.tau = dict(tau)
     return q
