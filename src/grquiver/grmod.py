@@ -467,17 +467,26 @@ def submodule_span(m: GradedModule,
 
 def _closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
     """Weight-vector basis of the smallest submodule containing the columns,
-    each column a weight vector."""
+    each column a weight vector.
+
+    A round reduces the basis together with the images of only the columns
+    the last round added, in basis order: the images of older columns
+    already lie in the span, and so does the image under H, which scales
+    every weight vector, so neither could be a pivot.  The basis columns
+    stay pivots, so a column of a wider grown basis is new when it is none
+    of them.
+    """
     ff = m.field
-    basis = _weight_component_basis(m, vectors)
-    while True:
-        images = [basis]
-        for g in m.algebra.generators():
-            images.append(ff.matmul(m.action[g], basis))
-        new_basis = _weight_component_basis(m, np.hstack(images))
-        if new_basis.shape[1] == basis.shape[1]:
-            return basis
-        basis = new_basis
+    movers = [m.action[g] for g in m.algebra.generators() if g != "H"]
+    basis = added = _weight_component_basis(m, vectors)
+    while added.shape[1]:
+        grown = _weight_component_basis(m, np.hstack(
+            [basis] + [ff.matmul(a, added) for a in movers]))
+        if grown.shape[1] == basis.shape[1]:
+            break
+        old = (grown.T[:, None] == basis.T[None]).all(axis=2).any(axis=1)
+        basis, added = grown, grown[:, ~old]
+    return basis
 
 
 def submodule_from_subspace(m: GradedModule,

@@ -169,6 +169,13 @@ def _presentation(algebra: AlgebraKind, weights: tuple[Weight, ...],
             (P.weights, _packed_action(P)), _packed(algebra, epi.matrix))
 
 
+def _cached_presentation(m: GradedModule) -> tuple[Weight, tuple]:
+    """(mu, the packed `_presentation` of m's shift class): the terms are
+    stored relative to m's legal shift mu (see `grmod._shift_class`)."""
+    mu, weights, action = _shift_class(m)
+    return mu, _presentation(m.algebra, weights, action)
+
+
 def omega_with_maps(m: GradedModule
                     ) -> tuple[GradedModule, ModuleMap, GradedModule,
                                ModuleMap]:
@@ -181,16 +188,19 @@ def omega_with_maps(m: GradedModule
     The presentation commutes with shift, so it is computed once per shift
     class: `_presentation` (a bounded LRU cache) is keyed by
     `grmod._shift_class`, and K and P are shifted back. The constructors
-    copy the packed cached arrays into fresh int64 ones.
+    copy the packed cached arrays into fresh int64 ones. A caller that
+    needs K alone calls `omega`, which unpacks nothing else.
     """
-    mu, weights, action = _shift_class(m)
-    (kw, ka), incl, (pw, pa), epi = _presentation(m.algebra, weights, action)
+    mu, ((kw, ka), incl, (pw, pa), epi) = _cached_presentation(m)
     K, P = _unpacked(m.algebra, mu, kw, ka), _unpacked(m.algebra, mu, pw, pa)
     return K, ModuleMap(K, P, incl), P, ModuleMap(P, m, epi)
 
 
 def omega(m: GradedModule) -> GradedModule:
-    return omega_with_maps(m)[0]
+    """Omega m, the K of `omega_with_maps(m)` with the same bytes; of the
+    cached presentation only K is unpacked."""
+    mu, ((kw, ka), *_) = _cached_presentation(m)
+    return _unpacked(m.algebra, mu, kw, ka)
 
 
 def omega_inv(m: GradedModule) -> GradedModule:
@@ -198,10 +208,13 @@ def omega_inv(m: GradedModule) -> GradedModule:
 
 
 def omega_pow(m: GradedModule, k: int) -> GradedModule:
-    out = m
-    for _ in range(abs(k)):
-        out = omega(out) if k > 0 else omega_inv(out)
-    return out
+    """Omega^k m; for k < 0 the dual of Omega^-k on the dual, with the
+    bytes of -k steps of `omega_inv` (dual(dual(x)) has the bytes of x)."""
+    if k < 0:
+        return dual(omega_pow(dual(m), -k))
+    for _ in range(k):
+        m = omega(m)
+    return m
 
 
 def nakayama(m: GradedModule) -> GradedModule:
@@ -222,20 +235,19 @@ def nakayama(m: GradedModule) -> GradedModule:
     return shift(m, tuple((1 - alg.p) * sum(c) for c in zip(*shifts)))
 
 
-def nakayama_inv(m: GradedModule) -> GradedModule:
-    """The inverse twist: the dual lives over the opposite weight
-    convention, whose twist is the negative shift."""
-    if m.algebra.kind == "sl2r1":
-        return m
-    return dual(nakayama(dual(m)))
-
-
 def tau(m: GradedModule) -> GradedModule:
     return nakayama(omega_pow(m, 2))
 
 
 def tau_inv(m: GradedModule) -> GradedModule:
-    return omega_pow(nakayama_inv(m), -2)
+    """tau^-1 m = dual(tau(dual m)).
+
+    These are the bytes of Omega^-2 of the inverse Nakayama twist: the
+    inverse twist is the dual of the twist on the dual, the twist is a
+    shift, Omega commutes byte for byte with shifts through the shift-class
+    cache, and dual(dual(x)) has the bytes of x.
+    """
+    return dual(tau(dual(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +434,10 @@ def betti(m: GradedModule, n_terms: int) -> BettiSequence:
         if cur.dim == 0:
             dims.append(0)
             continue
-        K, _, P, _ = omega_with_maps(cur)
-        dims.append(P.dim)
-        cur = K
+        # dim P read off the cached P weights; only K is unpacked
+        mu, ((kw, ka), _, (pw, _), _) = _cached_presentation(cur)
+        dims.append(len(pw))
+        cur = _unpacked(cur.algebra, mu, kw, ka)
     return BettiSequence(dims)
 
 

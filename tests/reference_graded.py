@@ -2,9 +2,9 @@
 the reference for their one-elimination versions: the weight components
 reduced by one elimination per weight, the submodule and the quotient that
 first homogenize their basis and test gradedness by two ranks, the
-submodule structure solved on that basis, the socle as the closure of the
-highest weight vectors, and u as a whole submodule followed by a
-quotient."""
+submodule structure solved on that basis, the closure that re-reduces
+its whole basis every round, the socle as the closure of the highest
+weight vectors, and u as a whole submodule followed by a quotient."""
 
 from __future__ import annotations
 
@@ -89,7 +89,13 @@ def submodule_from_subspace(m: GradedModule,
 
 def closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
     """Weight-vector basis of the smallest submodule containing the columns,
-    each column a weight vector."""
+    each column a weight vector.
+
+    Each round reduces the whole basis again together with its images
+    under every generator; `grmod._closure_basis` was this routine with
+    the one-elimination component basis, before its rounds took only the
+    images of the columns the last round added.
+    """
     ff = m.field
     # a weight vector is its own weight component, so the component basis
     # is a basis of the span

@@ -193,7 +193,7 @@ def test_criterion_08_morita_and_block_count():
 
 
 def test_criterion_09_wings_and_orbit_scan():
-    for p, s, a in itertools.product(PRIMES, (1, 2, 3), (0, 1)):
+    for p, s, a in itertools.product(PRIMES + (7,), (1, 2, 3), (0, 1)):
         what = f"p={p}: W({s * p + a})"
         seed = C.w_hat(p, s * p + a)
         mods = AQ.wing_modules(seed)
@@ -214,7 +214,7 @@ def test_criterion_09_wings_and_orbit_scan():
                 f"tau^-{i} of {what} is polynomial"
     ok(9, "wing size s(s+1)/2, all members polynomial of complexity 1, and "
           "no polynomial module in the tau-orbit for 0 < |i| <= 50, "
-          "p in {3,5}")
+          "p in {3,5,7}")
 
 
 def test_criterion_10_duality_laws():

@@ -12,6 +12,7 @@ import reference_blocks as RB
 import reference_complexity as RC
 import reference_gf as R
 import reference_graded as RG
+import reference_homological as RH
 import reference_iso as RI
 import reference_polynomial as RPY
 import reference_projective as RP
@@ -404,6 +405,75 @@ def test_tau_walk_misses_once_per_shift_class(d):
         m = H.tau(m)
     assert H._presentation.cache_info().misses == 2
     assert sorted(m.weights) != sorted(C.w_hat(3, d).weights)
+
+
+def module_bytes(m):
+    """Algebra, weights and action bytes of m."""
+    return [m.algebra, m.weights] + [
+        (m.action[g].dtype, m.action[g].tobytes())
+        for g in m.algebra.generators()]
+
+
+def hit_path_inputs(candidates, key):
+    """The candidates of a slice, or over the borel algebra Omega^i k for
+    i = 1..3 at (p, r) in {3, 5} x {1, 2} and the five outer tensors of
+    acceptance criterion 11 at p in {3, 5}."""
+    if key != "borel":
+        return candidates[key]
+    mods = []
+    for p, r in itertools.product((3, 5), (1, 2)):
+        k = G.character_module(C.borel_algebra(p, r), (0, 0))
+        mods += [RH.omega_pow(k, i) for i in (1, 2, 3)]
+    return mods + [m for p in (3, 5) for m in outer_tensors(p)]
+
+
+@pytest.mark.parametrize("key", SLICES + ["borel"], ids=lambda k: (
+    k if k == "borel" else f"p{k[0]}-d{k[1]}"))
+def test_hit_paths_against_full_unpacking(candidates, key):
+    # Omega, Omega^-3, tau^-1 and the Betti numbers against the routines
+    # that unpacked every presentation term and took tau^-1 as Omega^-2 of
+    # the inverse Nakayama twist: byte for byte from a cold cache, warm,
+    # and warmed by the reference
+    def fast(m):
+        return [module_bytes(H.omega(m)), module_bytes(H.omega_pow(m, -3)),
+                module_bytes(H.tau_inv(m)), H.betti(m, 5).dims]
+
+    def slow(m):
+        return [module_bytes(RH.omega(m)), module_bytes(RH.omega_pow(m, -3)),
+                module_bytes(RH.tau_inv(m)), RH.betti(m, 5).dims]
+    mods = hit_path_inputs(candidates, key)
+    assert mods
+    for m in mods:
+        clear_caches()
+        cold = fast(m)
+        assert cold == fast(m) == slow(m)
+        clear_caches()
+        assert slow(m) == fast(m) == cold
+
+
+@pytest.mark.parametrize("build", [
+    lambda: C.w_hat(3, 7),
+    lambda: RH.omega(G.character_module(C.borel_algebra(5, 2), (0, 0)))],
+    ids=["W(7)", "borel-omega-k"])
+def test_hit_paths_unpack_only_what_they_return(build, monkeypatch):
+    # on a warm cache Omega unpacks K alone, the Betti numbers unpack one
+    # K per term, and tau^-1 is tau on the dual, with no Omega^-1
+    m = build()
+    H.omega(m), H.tau_inv(m), H.betti(m, 4)
+    misses = H._presentation.cache_info().misses
+    unpacked = []
+    real = H._unpacked
+    monkeypatch.setattr(H, "_unpacked",
+                        lambda *args: unpacked.append(1) or real(*args))
+    for name in ("omega_inv", "omega_with_maps"):
+        monkeypatch.setattr(H, name, lambda m, name=name: pytest.fail(
+            f"{name} was called"))
+    H.omega(m)
+    assert len(unpacked) == 1
+    assert 0 not in H.betti(m, 4).dims
+    assert len(unpacked) == 1 + 4
+    H.tau_inv(m)
+    assert H._presentation.cache_info().misses == misses
 
 
 def sequence_bytes(seq):
@@ -839,6 +909,53 @@ def test_t_poly_against_fixpoint(candidates):
             [(t_ref, incl_ref.matrix)])
         proper += 0 < t.dim < m.dim
     assert proper > 400
+
+
+def closure_inputs(candidates):
+    """Every input of `_closure_basis`: from `submodule_span` while the
+    candidates of SLICES are built, from `t_poly` and `u_poly` on the
+    modules of `t_poly_inputs`, and from the borel standard modules of
+    degree <= 8 over (p, r) in {3, 5} x {1, 2}."""
+    seen = []
+    real = G._closure_basis
+
+    def record(m, vectors):
+        seen.append((m, vectors.copy()))
+        return real(m, vectors)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (G, polynomial):
+            mp.setattr(module, "_closure_basis", record)
+        for p, d in SLICES:
+            for lab, _ in degree_candidates(p, d):
+                lab.build(p)
+        for m in t_poly_inputs(candidates):
+            polynomial.t_poly(m), polynomial.u_poly(m)
+        for p, r in itertools.product((3, 5), (1, 2)):
+            alg = C.borel_algebra(p, r)
+            for d in range(9):
+                for lam in range(d + 1):
+                    polynomial.standard_module((lam, d - lam), alg)
+    return seen
+
+
+def test_closure_against_full_rounds(candidates, monkeypatch):
+    # a round eliminates the basis with the images of the columns the last
+    # round added, under E and F or the X_i; the rounds that re-eliminated
+    # the whole basis with every image, H's included, pick the same columns
+    calls = closure_inputs(candidates)
+    assert len(calls) > 3000
+    assert sum(m.algebra.kind == "borel" for m, _ in calls) > 900
+    rounds = []
+    real = G._weight_component_basis
+    monkeypatch.setattr(G, "_weight_component_basis",
+                        lambda m, v: rounds.append(1) or real(m, v))
+    several = 0
+    for m, vectors in calls:
+        rounds.clear()
+        assert basis_bytes([G._closure_basis(m, vectors)]) == basis_bytes(
+            [RG.closure_basis(m, vectors)])
+        several += len(rounds) > 2  # the basis grew at least once
+    assert several > 800
 
 
 def borel_cover_inputs():
