@@ -203,13 +203,8 @@ def omega(m: GradedModule) -> GradedModule:
     return _unpacked(m.algebra, mu, kw, ka)
 
 
-def omega_inv(m: GradedModule) -> GradedModule:
-    return dual(omega(dual(m)))
-
-
 def omega_pow(m: GradedModule, k: int) -> GradedModule:
-    """Omega^k m; for k < 0 the dual of Omega^-k on the dual, with the
-    bytes of -k steps of `omega_inv` (dual(dual(x)) has the bytes of x)."""
+    """Omega^k m; for k < 0 the dual of Omega^-k on the dual."""
     if k < 0:
         return dual(omega_pow(dual(m), -k))
     for _ in range(k):

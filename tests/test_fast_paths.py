@@ -465,9 +465,8 @@ def test_hit_paths_unpack_only_what_they_return(build, monkeypatch):
     real = H._unpacked
     monkeypatch.setattr(H, "_unpacked",
                         lambda *args: unpacked.append(1) or real(*args))
-    for name in ("omega_inv", "omega_with_maps"):
-        monkeypatch.setattr(H, name, lambda m, name=name: pytest.fail(
-            f"{name} was called"))
+    monkeypatch.setattr(H, "omega_with_maps", lambda m: pytest.fail(
+        "omega_with_maps was called"))
     H.omega(m)
     assert len(unpacked) == 1
     assert 0 not in H.betti(m, 4).dims
