@@ -1,8 +1,9 @@
-"""Walk through the degree-3 block at p = 3.
+"""Walk through the degree-3 blocks at p = 3.
 
-Enumerates the indecomposable polynomial modules of degree 3, partitions
-them into blocks, builds the AR quiver of the block containing V(3), and
-matches its stable part against the Z[A_3]/<tau^3> template.
+Builds the AR quiver of every block of degree 3, one per linkage class of
+the polynomial simples, lists their indecomposables, and matches the
+stable part of the block containing V(3) against the Z[A_3]/<tau^3>
+template.
 """
 
 from grquiver import arquiver as AQ
@@ -11,16 +12,17 @@ P, D = 3, 3
 
 
 def main() -> None:
-    cands = AQ.enumerate_degree_candidates(P, D)
-    print(f"{len(cands)} indecomposable polynomial modules of degree {D}:")
-    for lab, m in cands:
-        print(f"  {str(lab):18} dim {m.dim}")
+    blocks = AQ.schur_blocks(P, D)
+    mods = sorted(((n, v.module) for b in blocks
+                   for n, v in b.vertices.items()), key=lambda t: t[0])
+    print(f"{len(mods)} indecomposable polynomial modules of degree {D}:")
+    for name, m in mods:
+        print(f"  {name:18} dim {m.dim}")
 
-    blocks = AQ.partition_blocks(cands)
     print(f"\n{len(blocks)} linkage blocks; "
-          f"{AQ.count_non_semisimple_blocks(P, D)} non-semisimple")
+          f"{sum(len(b.vertices) > 1 for b in blocks)} non-semisimple")
 
-    q = AQ.schur_block_quiver(P, D, "V(3)")
+    q = next(b for b in blocks if "V(3)" in b.vertices)
     print(f"\nblock quiver of V(3): {len(q.vertices)} vertices, "
           f"{len(q.arrows)} arrows")
     for name, v in sorted(q.vertices.items()):

@@ -327,67 +327,7 @@ def wing_modules(v: GradedModule, _depth: int = 0) -> list[GradedModule]:
 
 
 # ---------------------------------------------------------------------------
-# degree-d block enumeration (sl2r1 backend)
-
-
-def _legal_shifts(mn: tuple[int, int], base_degree: int, d: int,
-                  p: int) -> list[tuple[int, int]]:
-    """Polynomial shifts mu with mu1 = mu2 mod p and degree d."""
-    total = d - base_degree
-    lo = -mn[0]
-    out = []
-    inv2 = pow(2, p - 2, p)
-    start = (total * inv2) % p  # 2*mu1 = total (mod p)
-    mu1 = lo + ((start - lo) % p)  # smallest admissible representative
-    while total - mu1 >= -mn[1]:
-        out.append((mu1, total - mu1))
-        mu1 += p
-    return out
-
-
-def enumerate_degree_candidates(p: int, d: int
-                                ) -> list[tuple[FamilyLabel, GradedModule]]:
-    """All indecomposable polynomial modules of weight degree d, as shifted
-    members of the classification families."""
-    out: list[tuple[FamilyLabel, GradedModule]] = []
-    kept: dict[tuple[Weight, ...], list[GradedModule]] = {}
-
-    def push(lab: FamilyLabel):
-        try:
-            m = lab.build(p)
-        except (ValueError, RuntimeError):
-            return
-        verdict = polynomial.is_polynomial(m)
-        if not verdict.is_polynomial or verdict.degree != d:
-            return
-        if [mult for _, mult in decompose(m)] != [1]:
-            return  # e.g. V(sp + p - 1) splits into Steinberg shifts
-        same_weights = kept.setdefault(_weight_key(m), [])
-        if any(is_isomorphic(other, m) is not None for other in same_weights):
-            return
-        same_weights.append(m)
-        out.append((lab, m))
-
-    for e in range(d + 1):
-        fams = ["L"] if e <= p - 1 else ["V", "Vo"]
-        base_mn = (0, 0)
-        for mu in _legal_shifts(base_mn, e, d, p):
-            for fam in fams:
-                push(FamilyLabel(fam, d=e, shift=mu))
-    for dd in range(p, d + p):  # shifts may lower the degree by up to a+1
-        s, a = divmod(dd, p)
-        if s < 1 or a > p - 2:
-            continue
-        for mu in _legal_shifts((a + 1, 0), dd, d, p):
-            push(FamilyLabel("W", d=dd, shift=mu))
-        for mu in _legal_shifts((0, a + 1), dd, d, p):
-            push(FamilyLabel("Wwo", d=dd, shift=mu))
-    for a in range(p - 1):
-        qm = constructions.projective_indec(p, a)
-        for mu in _legal_shifts(qm.support_min(), qm.degree(), d, p):
-            push(FamilyLabel("Q", d=a, shift=mu))
-    out.sort(key=lambda t: str(t[0]))
-    return out
+# degree-d blocks (sl2r1 backend)
 
 
 class _UnionFind:
@@ -438,41 +378,24 @@ def composition_factors(m: GradedModule) -> list[Weight]:
     return out
 
 
-def partition_blocks(cands: list[tuple[FamilyLabel, GradedModule]]
-                     ) -> list[list[int]]:
-    """Blocks on candidate indices: the classes of "the two candidates share
-    a composition factor".
-
-    `cands` must list every indecomposable of its degree, as
-    `enumerate_degree_candidates` returns it (`schur_block_quiver` raises
-    when a piece of its block is not a candidate).  These are the classes of
-    the linkage Hom(m_i, m_j) != 0 or Hom(m_j, m_i) != 0: a nonzero map has
-    a common composition factor as its image, and an indecomposable with
-    composition factor S lies in the block of S.  Ext^1 then links nothing
-    more: every indecomposable has a nonzero map from an indecomposable
-    projective, and the projectives of one block are Hom-linked.
-    """
-    uf = _UnionFind(range(len(cands)))
-    holder: dict[Weight, int] = {}
-    for i, (_, m) in enumerate(cands):
-        for f in composition_factors(m):
-            uf.union(i, holder.setdefault(f, i))
-    return sorted(uf.groups(), key=lambda g: str(cands[min(g)][0]))
-
-
-def count_non_semisimple_blocks(p: int, d: int) -> int:
-    """Blocks of degree d with more than one indecomposable.  A block whose
-    only indecomposable is M also holds M's projective cover and its top,
-    so M is simple and projective: a block is semisimple exactly when it
-    has one member."""
-    return sum(len(b) > 1
-               for b in partition_blocks(enumerate_degree_candidates(p, d)))
+def _simple_label(p: int, w: Weight) -> FamilyLabel:
+    """The simple L(a), a = x - y mod p, shifted to highest weight
+    w = (x, y)."""
+    a = (w[0] - w[1]) % p
+    return FamilyLabel("L", d=a, shift=(w[0] - a, w[1]))
 
 
 def schur_block_quiver(p: int, d: int,
                        block_seed: FamilyLabel | str) -> ARQuiver:
     """AR quiver of the block of the degree-d polynomial category
-    containing the seed."""
+    containing the seed, closed from the block's simples.
+
+    The block is representation-finite, so every vertex has a path of
+    irreducible maps to the simple on its top (Auslander-Reiten-Smalo,
+    Ch. VI), and walking arrows backwards from the simples reaches every
+    vertex: into an Ext-projective from its radical summands, into any
+    other vertex from the middle of the almost split sequence ending there.
+    """
     if isinstance(block_seed, str):
         block_seed = constructions.parse_label(block_seed)
     seed_mod = block_seed.build(p)
@@ -488,44 +411,64 @@ def schur_block_quiver(p: int, d: int,
     if [mult for _, mult in decompose(seed_mod)] != [1]:
         raise ValueError(f"seed {block_seed} is decomposable; choose an "
                          "indecomposable seed with --seed-label")
-    cands = enumerate_degree_candidates(p, d)
-    key = _weight_key(seed_mod)
-    seed_idx = next((i for i, (_, m) in enumerate(cands)
-                     if _weight_key(m) == key
-                     and is_isomorphic(m, seed_mod) is not None), None)
-    if seed_idx is None:
-        raise RuntimeError("seed not found among enumerated candidates")
-    block = next(b for b in partition_blocks(cands) if seed_idx in b)
-
-    q = ARQuiver()
-    for i in sorted(block, key=lambda i: str(cands[i][0])):
-        lab, m = cands[i]
-        q.add_vertex(VertexLabel(str(lab), lab, m, simple=lab.family == "L",
-                                 ql=lab.ql(p)))
-
-    def vertex(piece: GradedModule, step: str = "block closure") -> str:
-        found = q.find_vertex(piece)
-        if found is None:  # the enumeration lists every indecomposable
-            raise RuntimeError(f"{step}: piece of dim {piece.dim} and "
-                               f"support {sorted(piece.support())} not in block")
-        return found
 
     # The polynomial modules of degree d form a Serre subcategory, so the
     # projective cover there of a simple L of the block is u(P(L)), the
     # largest polynomial quotient of its ambient cover, and the injective
     # hull of L is dual(u(P(dual L))): these are the Ext-projective and the
-    # Ext-injective vertices.
+    # Ext-injective vertices.  The dual fixes simples, so the Cartan matrix
+    # is symmetric and the covers alone close the block's simples.
     cover = polynomial.poly_projective_cover
-    for name, v in q.vertices.items():
-        if v.simple:
-            proj = vertex(cover(v.module)[0],
-                          f"Ext-projective cover u(P({name}))")
-            inj = vertex(dual(cover(dual(v.module))[0]),
-                         f"Ext-injective hull dual(u(P(dual {name})))")
-            q.vertices[proj].projective_in_poly = True
-            q.vertices[inj].injective_in_poly = True
+    simples: dict[Weight, tuple[FamilyLabel, GradedModule, GradedModule]] = {}
+    todo = composition_factors(seed_mod)
+    while todo:
+        w = todo.pop()
+        if w in simples:
+            continue
+        lab = _simple_label(p, w)
+        s = lab.build(p)
+        proj = cover(s)[0]
+        if proj.degree() != d:
+            raise RuntimeError(
+                f"Ext-projective cover u(P({lab})): piece of dim {proj.dim} "
+                f"and support {sorted(proj.support())} has degree "
+                f"{proj.degree()}, not {d}")
+        simples[w] = (lab, s, proj)
+        todo += composition_factors(proj)
 
-    for name, v in q.vertices.items():
+    q = ARQuiver()
+    unexpanded: list[str] = []
+
+    def vertex(piece: GradedModule, step: str = "block closure") -> str:
+        name = q.find_vertex(piece)
+        if name is not None:
+            return name
+        where = (f"{step}: piece of dim {piece.dim} and support "
+                 f"{sorted(piece.support())}")
+        if not set(composition_factors(piece)) <= simples.keys():
+            raise RuntimeError(f"{where} leaves the block's simples")
+        lab = identify(piece)
+        if lab is None:
+            raise RuntimeError(f"{where} has no family label")
+        # the family member, not the piece: the almost split sequences of
+        # shifted family members hit the shift-class caches
+        name = str(lab)
+        q.add_vertex(VertexLabel(name, lab, lab.build(p),
+                                 simple=lab.family == "L", ql=lab.ql(p)))
+        unexpanded.append(name)
+        return name
+
+    for lab, s, proj in simples.values():
+        vertex(s, f"simple {lab}")
+        ext_proj = vertex(proj, f"Ext-projective cover u(P({lab}))")
+        ext_inj = vertex(dual(cover(dual(s))[0]),
+                         f"Ext-injective hull dual(u(P(dual {lab})))")
+        q.vertices[ext_proj].projective_in_poly = True
+        q.vertices[ext_inj].injective_in_poly = True
+
+    while unexpanded:
+        name = unexpanded.pop()
+        v = q.vertices[name]
         if v.projective_in_poly:
             # arrows rad(P)-summands -> P; and P -> P/soc summands when P is
             # also injective
@@ -540,6 +483,22 @@ def schur_block_quiver(p: int, d: int,
         else:
             q.add_mesh(polynomial.almost_split_in_poly(v.module), name, vertex)
     return q
+
+
+def schur_blocks(p: int, d: int) -> list[ARQuiver]:
+    """The AR quivers of the blocks of degree d, one per linkage class of
+    the polynomial simples L(x, d - x), x >= (2x - d) mod p, ordered by
+    their least vertex name."""
+    blocks: list[ARQuiver] = []
+    reached: set[str] = set()
+    for x in range(d + 1):
+        lab = _simple_label(p, (x, d - x))
+        if lab.shift[0] < 0 or str(lab) in reached:
+            continue
+        q = schur_block_quiver(p, d, lab)
+        reached.update(n for n, v in q.vertices.items() if v.simple)
+        blocks.append(q)
+    return sorted(blocks, key=lambda q: min(q.vertices))
 
 
 # ---------------------------------------------------------------------------

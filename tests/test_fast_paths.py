@@ -193,7 +193,7 @@ def same_column_space(ff, a, b):
 
 @pytest.fixture(scope="module")
 def candidates():
-    return {(p, d): [m for _, m in AQ.enumerate_degree_candidates(p, d)]
+    return {(p, d): [m for _, m in RB.enumerate_degree_candidates(p, d)]
             for p, d in SLICES}
 
 
@@ -748,7 +748,7 @@ BLOCK_DEGREES = [(3, d) for d in range(1, 9)] + [(5, d) for d in range(1, 10)]
 
 @functools.lru_cache(maxsize=None)
 def degree_candidates(p, d):
-    return AQ.enumerate_degree_candidates(p, d)
+    return RB.enumerate_degree_candidates(p, d)
 
 
 @pytest.mark.parametrize("p,d", BLOCK_DEGREES, ids=lambda v: str(v))
@@ -756,11 +756,11 @@ def test_hom_linkage_blocks_against_ext_closure(p, d):
     # the partition and the one-member test for semisimplicity against the
     # Hom + Ext^1 closure and the End/Ext^1 test they replaced
     cands = degree_candidates(p, d)
-    blocks = AQ.partition_blocks(cands)
-    assert blocks == RB.partition_blocks(cands)
+    blocks = RB.partition_blocks(cands)
+    assert blocks == RB.ext_closure_blocks(cands)
     semisimple = [RB.block_is_semisimple(cands, b) for b in blocks]
     assert [len(b) == 1 for b in blocks] == semisimple
-    assert AQ.count_non_semisimple_blocks(p, d) == semisimple.count(False)
+    assert RB.count_non_semisimple_blocks(p, d) == semisimple.count(False)
 
 
 def radical_layer_factors(m):
@@ -783,7 +783,7 @@ def test_composition_factor_blocks_against_hom_linkage(p, d, monkeypatch):
     cands = degree_candidates(p, d)
     calls = []
     monkeypatch.setattr(G, "_hom_space_cached", lambda *a: calls.append(a))
-    blocks = AQ.partition_blocks(cands)
+    blocks = RB.partition_blocks(cands)
     assert calls == []  # no Hom space, computed or cached
     monkeypatch.undo()
     assert blocks == RB.hom_linkage_blocks(cands)
@@ -849,14 +849,11 @@ def test_block_flags_against_tau_test(p, d, monkeypatch):
     # the flags read off u(P(L)) and dual(u(P(dual L))) for the simples L
     # of the block against the tau test, on every vertex of every
     # non-semisimple block; no tau is computed to build the quivers
-    cands = degree_candidates(p, d)
-    seeds = [str(cands[b[0]][0]) for b in AQ.partition_blocks(cands)
-             if len(b) > 1]
-    assert seeds
     with monkeypatch.context() as patch:
         for name in ("tau", "tau_inv"):
             patch.setattr(H, name, lambda m: pytest.fail("tau was called"))
-        quivers = [AQ.schur_block_quiver(p, d, seed) for seed in seeds]
+        quivers = [q for q in AQ.schur_blocks(p, d) if len(q.vertices) > 1]
+    assert quivers
     for q in quivers:
         assert any(v.projective_in_poly != v.injective_in_poly
                    for v in q.vertices.values())
@@ -868,10 +865,11 @@ def test_block_flags_against_tau_test(p, d, monkeypatch):
 
 
 def test_block_quiver_tests_isomorphism_within_weight_buckets(monkeypatch):
-    # vertex lookups, the candidate dedup and the seed search compare
-    # sorted weights first: a cold schur_block_quiver(5, 18, "V(18)") made
-    # 10,228 isomorphism tests, counted this way, when each of them scanned
-    # a list; at least 90 % of them are gone
+    # vertex lookups compare sorted weights first: a cold
+    # schur_block_quiver(5, 18, "V(18)") made 10,228 isomorphism tests,
+    # counted this way, when each lookup, the candidate dedup and the seed
+    # search of the enumeration build scanned a list; at least 90 % of them
+    # are gone
     calls = []
     real = G.is_isomorphic
 

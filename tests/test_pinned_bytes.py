@@ -23,7 +23,7 @@ import runpy
 
 import pytest
 
-from grquiver import arquiver as AQ
+import reference_blocks as RB
 from grquiver import cli
 from grquiver import constructions as C
 from grquiver import homological as H
@@ -65,7 +65,7 @@ def almost_split_digest(m):
 def socle_top_digest(p, d):
     """Socle and top, with their maps, of every degree-d candidate."""
     parts = []
-    for _, m in AQ.enumerate_degree_candidates(p, d):
+    for _, m in RB.enumerate_degree_candidates(p, d):
         for sub, f in (socle(m), top(m)):
             parts += [sub.to_json(), f.matrix]
     return digest(*parts)

@@ -1,6 +1,5 @@
 """The coordinate recognizer `arquiver.template_match` against the
-backtracking matcher it replaced (`tests/reference_template.py`), and the
-one-pass closure of `schur_block_quiver`.
+backtracking matcher it replaced (`tests/reference_template.py`).
 
 Inputs: relabelled templates Z[A_n]/<tau^m> with n*m <= 16 and tau partly
 deleted, the stable parts of real blocks, and mutants of both.  Every map
@@ -160,13 +159,3 @@ def test_tau_self_loop_regression():
     assert RT.template_match(t, 3, 3) is not None
     assert AQ.template_match(t, 3, 3) is None
 
-
-def test_closure_rejects_a_missing_vertex(monkeypatch):
-    enumerate_all = AQ.enumerate_degree_candidates
-
-    def without_w3(p, d):
-        return [(lab, m) for lab, m in enumerate_all(p, d)
-                if str(lab) != "W(3)"]
-    monkeypatch.setattr(AQ, "enumerate_degree_candidates", without_w3)
-    with pytest.raises(RuntimeError, match="not in block"):
-        AQ.schur_block_quiver(3, 3, "V(3)")
