@@ -12,8 +12,7 @@ from types import MappingProxyType
 from . import constructions, homological, polynomial
 from .constructions import FamilyLabel
 from .grmod import (AlgebraKind, GradedModule, Weight, decompose, dual,
-                    is_isomorphic, quotient, radical, shift, socle, validate,
-                    zero_module)
+                    is_isomorphic, radical, shift, validate, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +329,6 @@ def wing_modules(v: GradedModule, _depth: int = 0) -> list[GradedModule]:
 # degree-d blocks (sl2r1 backend)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-    def groups(self):
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
-
-
 def composition_factors(m: GradedModule) -> list[Weight]:
     """Highest weights of the composition factors of a G1T-module over sl2r1
     (H acts on weight (x, y) by x - y), read off its weight multiset.
@@ -470,16 +447,11 @@ def schur_block_quiver(p: int, d: int,
         name = unexpanded.pop()
         v = q.vertices[name]
         if v.projective_in_poly:
-            # arrows rad(P)-summands -> P; and P -> P/soc summands when P is
-            # also injective
+            # arrows rad(P)-summands -> P; the arrows out of P come from the
+            # almost split sequences with P in the middle
             r, _ = radical(v.module)
             for piece, mult in decompose(r):
                 q.add_arrow(vertex(piece), name, mult)
-            if v.injective_in_poly:
-                _, sincl = socle(v.module)
-                qs, _ = quotient(v.module, sincl.matrix)
-                for piece, mult in decompose(qs):
-                    q.add_arrow(name, vertex(piece), mult)
         else:
             q.add_mesh(polynomial.almost_split_in_poly(v.module), name, vertex)
     return q
@@ -634,11 +606,21 @@ def column_symmetry_check(q: ARQuiver) -> dict:
     if not self_dual:
         return {"applicable": False, "reason": "no self-dual vertex"}
     # columns: middle summands of one sequence are column-mates
-    uf = _UnionFind(list(q.vertices))
-    for left, mids, right in q.sequences:
+    mates: dict[str, set[str]] = {n: set() for n in q.vertices}
+    for _, mids, _ in q.sequences:
         for a in mids:
-            uf.union(mids[0], a)
-    columns = uf.groups()
+            mates[a].update(mids)
+    columns, seen = [], set()
+    for name in q.vertices:
+        if name in seen:
+            continue
+        col, stack = {name}, [name]
+        while stack:
+            new = mates[stack.pop()] - col
+            col |= new
+            stack += new
+        seen |= col
+        columns.append([n for n in q.vertices if n in col])
     fixed_columns = []
     failures = []
     for col in columns:

@@ -155,9 +155,18 @@ def projective_indec(p: int, a: int) -> GradedModule:
 
 
 def borel_projective(lam: Weight, algebra: AlgebraKind) -> GradedModule:
-    """Z_r(lambda): free of rank one with generator in weight lambda."""
+    """Z_r(lambda): free of rank one with generator in weight lambda, a
+    shifted copy of the cached Z_r(0)."""
     if algebra.kind != "borel":
         raise ValueError("borel_projective needs the borel backend")
+    return shift(_borel_free(algebra), lam)
+
+
+@lru_cache(maxsize=64)
+def _borel_free(algebra: AlgebraKind) -> GradedModule:
+    """Z_r(0), read-only: the monomials X^c, c in lexicographic order, with
+    X^c of weight sum_t c_t * (the shift of X_t), and each X_t sending X^c
+    to X^(c + e_t) while c_t < p - 1."""
     p, r = algebra.p, algebra.r
     gens = algebra.generators()
     shifts = [algebra.action_shift(g) for g in gens]
@@ -166,7 +175,7 @@ def borel_projective(lam: Weight, algebra: AlgebraKind) -> GradedModule:
     n = len(exps)
     weights = []
     for c in exps:
-        w = lam
+        w = (0, 0)
         for t, ct in enumerate(c):
             w = (w[0] + ct * shifts[t][0], w[1] + ct * shifts[t][1])
         weights.append(w)
@@ -179,7 +188,7 @@ def borel_projective(lam: Weight, algebra: AlgebraKind) -> GradedModule:
                 up[t] += 1
                 mat[index[tuple(up)], index[c]] = 1
         action[g] = mat
-    return GradedModule(algebra, tuple(weights), action)
+    return _read_only(GradedModule(algebra, tuple(weights), action))
 
 
 def outer_tensor(m: GradedModule, n: GradedModule) -> GradedModule:

@@ -6,13 +6,16 @@ for the degree-d blocks on the borel side."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import constructions, homological
-from .grmod import (GradedModule, ModuleMap, Weight, _closure_basis, dual,
-                    hom_space, is_polynomial_weight, quotient,
-                    submodule_from_subspace, weight_degree, zero_module)
+from .grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
+                    _closure_basis, _packed, _packed_action, _shift_class,
+                    _unpacked, dual, hom_space, is_polynomial_weight,
+                    quotient, submodule_from_subspace, weight_degree,
+                    zero_module)
 
 
 @dataclass
@@ -27,25 +30,66 @@ def is_polynomial(m: GradedModule) -> PolyVerdict:
     return PolyVerdict(not bad, list(bad), m.degree())
 
 
-def _nonpolynomial_closure(m: GradedModule) -> np.ndarray:
-    """Weight-vector basis of the submodule generated by the weight spaces
-    of non-polynomial weight."""
-    bad = [j for j in range(m.dim) if not is_polynomial_weight(m.weights[j])]
-    return _closure_basis(m, m.field.eye(m.dim)[:, bad])
+def _closure_of(m: GradedModule, bad: tuple[int, ...]) -> np.ndarray:
+    """Weight-vector basis of the submodule generated by the basis vectors
+    bad."""
+    return _closure_basis(m, m.field.eye(m.dim)[:, list(bad)])
+
+
+def _torsion(m: GradedModule, cache) -> tuple[GradedModule, np.ndarray]:
+    """(t(m) or u(m), the packed map) from cache, `_t_poly` or `_u_poly`,
+    keyed by m's `grmod._shift_class` and the indices of its basis vectors
+    outside the polynomial quadrant, and shifted back to m's weights."""
+    mu, weights, action = _shift_class(m)
+    bad = tuple(j for j, w in enumerate(m.weights)
+                if not is_polynomial_weight(w))
+    (tw, ta), mat = cache(m.algebra, weights, action, bad)
+    return _unpacked(m.algebra, mu, tw, ta), mat
 
 
 def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Largest homogeneous submodule with polynomial support: t(m) = u(m^o)^o,
     the annihilator of the non-polynomial closure of the dual under the
-    pairing (x, y) -> x^T y."""
-    closure = _nonpolynomial_closure(dual(m))
-    return submodule_from_subspace(m, m.field.kernel_basis(closure.T))
+    pairing (x, y) -> x^T y.
+
+    t reads the weights only through the basis vectors outside the
+    quadrant, weight equality and sorted weight order, which a shift keeps,
+    so it is computed once per shift class and mask: `_t_poly` (a bounded
+    LRU cache) is keyed as `_torsion` says, and t(m) is shifted back.
+    """
+    sub, incl = _torsion(m, _t_poly)
+    return sub, ModuleMap(sub, m, incl)
+
+
+@lru_cache(maxsize=256)
+def _t_poly(algebra: AlgebraKind, weights: tuple[Weight, ...], action: bytes,
+            bad: tuple[int, ...]) -> tuple:
+    """t of the module with these weights and this packed action, the
+    vectors bad taken as the non-polynomial ones, packed: ((t weights,
+    t action), incl)."""
+    m = _unpacked(algebra, (0, 0), weights, action)
+    closure = _closure_of(dual(m), bad)
+    sub, incl = submodule_from_subspace(m, m.field.kernel_basis(closure.T))
+    return (sub.weights, _packed_action(sub)), _packed(algebra, incl.matrix)
 
 
 def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Largest polynomial quotient: divide by the submodule generated by the
-    non-polynomial weight spaces."""
-    return quotient(m, _nonpolynomial_closure(m))
+    non-polynomial weight spaces; cached by shift class and mask as `t_poly`
+    is."""
+    q, proj = _torsion(m, _u_poly)
+    return q, ModuleMap(m, q, proj)
+
+
+@lru_cache(maxsize=256)
+def _u_poly(algebra: AlgebraKind, weights: tuple[Weight, ...], action: bytes,
+            bad: tuple[int, ...]) -> tuple:
+    """u of the module with these weights and this packed action, the
+    vectors bad taken as the non-polynomial ones, packed: ((u weights,
+    u action), proj)."""
+    m = _unpacked(algebra, (0, 0), weights, action)
+    q, proj = quotient(m, _closure_of(m, bad))
+    return (q.weights, _packed_action(q)), _packed(algebra, proj.matrix)
 
 
 def induced_sequence(seq: homological.ShortExact

@@ -5,7 +5,8 @@
 either direction and then under nonzero Ext^1 over every ordered pair, and
 `block_is_semisimple` calls a block semisimple when it has one member whose
 endomorphisms are the scalars and which has no self-extension.
-`hom_linkage_blocks` is the Hom-only linkage that followed them.
+`hom_linkage_blocks` is the Hom-only linkage that followed them.  All
+three group the candidates with `_UnionFind`.
 
 `partition_blocks` is the composition-factor partition that replaced the
 Hom linkage, over the candidates of `enumerate_degree_candidates`: every
@@ -18,11 +19,33 @@ class of the partition as the vertices and then adds the arrows.
 from __future__ import annotations
 
 from grquiver import constructions, homological, polynomial
-from grquiver.arquiver import (ARQuiver, VertexLabel, _UnionFind,
-                               _weight_key, composition_factors)
+from grquiver.arquiver import (ARQuiver, VertexLabel, _weight_key,
+                               composition_factors)
 from grquiver.constructions import FamilyLabel
 from grquiver.grmod import (GradedModule, Weight, decompose, dual, hom_space,
                             is_isomorphic, quotient, radical, socle, validate)
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+    def groups(self):
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
 
 
 def ext_closure_blocks(cands) -> list[list[int]]:

@@ -1,15 +1,18 @@
 """The polynomial-layer paths that faster ones replaced, kept as the
-reference: t as a fixpoint shrink of the polynomial weight spaces, the
-injective hull in the polynomial category as t of the ambient hull, the
-borel projective cover as a walk over the free module's action, and
-Ext-projectivity in the polynomial category by the tau test."""
+reference: t as a fixpoint shrink of the polynomial weight spaces, t and u
+computed on the module itself without the shift-class cache, the free
+module Z_r(lambda) built at lambda, the injective hull in the polynomial
+category as t of the ambient hull, the borel projective cover as a walk
+over the free module's action, and Ext-projectivity in the polynomial
+category by the tau test."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from grquiver import constructions, homological
-from grquiver.grmod import (GradedModule, ModuleMap, _highest_weight_kernel,
+from grquiver.grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
+                            _closure_basis, _highest_weight_kernel,
                             direct_sum, dual, is_polynomial_weight, quotient,
                             submodule_from_subspace, top, zero_module)
 from grquiver.homological import projective_cover
@@ -68,6 +71,55 @@ def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
             break
         basis = ff.matmul(basis, coords)
     return submodule_from_subspace(m, basis)
+
+
+def _nonpolynomial_closure(m: GradedModule) -> np.ndarray:
+    """Weight-vector basis of the submodule generated by the weight spaces
+    of non-polynomial weight."""
+    bad = [j for j in range(m.dim) if not is_polynomial_weight(m.weights[j])]
+    return _closure_basis(m, m.field.eye(m.dim)[:, bad])
+
+
+def t_poly_uncached(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
+    """Largest homogeneous submodule with polynomial support: t(m) = u(m^o)^o,
+    the annihilator of the non-polynomial closure of the dual under the
+    pairing (x, y) -> x^T y."""
+    closure = _nonpolynomial_closure(dual(m))
+    return submodule_from_subspace(m, m.field.kernel_basis(closure.T))
+
+
+def u_poly_uncached(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
+    """Largest polynomial quotient: divide by the submodule generated by the
+    non-polynomial weight spaces."""
+    return quotient(m, _nonpolynomial_closure(m))
+
+
+def borel_projective(lam: Weight, algebra: AlgebraKind) -> GradedModule:
+    """Z_r(lambda): free of rank one with generator in weight lambda."""
+    if algebra.kind != "borel":
+        raise ValueError("borel_projective needs the borel backend")
+    p, r = algebra.p, algebra.r
+    gens = algebra.generators()
+    shifts = [algebra.action_shift(g) for g in gens]
+    exps = [tuple(c) for c in np.ndindex(*([p] * r))]  # lexicographic
+    index = {c: t for t, c in enumerate(exps)}
+    n = len(exps)
+    weights = []
+    for c in exps:
+        w = lam
+        for t, ct in enumerate(c):
+            w = (w[0] + ct * shifts[t][0], w[1] + ct * shifts[t][1])
+        weights.append(w)
+    action = {}
+    for t, g in enumerate(gens):
+        mat = np.zeros((n, n), dtype=np.int64)
+        for c in exps:
+            if c[t] < p - 1:
+                up = list(c)
+                up[t] += 1
+                mat[index[tuple(up)], index[c]] = 1
+        action[g] = mat
+    return GradedModule(algebra, tuple(weights), action)
 
 
 def poly_injective_hull(v: GradedModule) -> tuple[GradedModule, ModuleMap]:

@@ -20,7 +20,7 @@ from linkage_oracle import non_semisimple_count
 from ungraded_oracle import has_ungraded_section, ungraded_resolution_dims
 
 P = 3
-PRIMES = (3, 5)
+PRIMES = (3, 5, 7)
 
 
 def ok(n: int, text: str) -> None:
@@ -57,7 +57,7 @@ def test_criterion_01_construction_fidelity():
                 assert w.dim == s * p
                 assert validate(w) == []
     ok(1, "weyl/w/simple families validate cell-exactly for d <= 4p, "
-          "p in {3,5}")
+          "p in {3,5,7}")
 
 
 def test_criterion_02_tau_on_w():
@@ -68,7 +68,7 @@ def test_criterion_02_tau_on_w():
                 assert_iso(H.tau(w), shift(w, (p, -p)),
                            f"p={p}: tau W({s * p + a})")
     ok(2, "tau(W(sp+a)) = W(sp+a)[(p,-p)] for s in {1,2,3}, a in {0,1}, "
-          "p in {3,5}")
+          "p in {3,5,7}")
 
 
 def test_criterion_03_tau_on_v():
@@ -82,7 +82,7 @@ def test_criterion_03_tau_on_v():
                     assert_iso(H.tau(v), expected,
                                f"p={p}: tau V({s * p + a})[{i}]")
     ok(3, "tau(V(sp+a)[(i,i)]) = V((s+2)p+a)[(i-p,i-p)] on all 8 instances "
-          "at each p in {3,5}")
+          "at each p in {3,5,7}")
 
 
 def test_criterion_04_almost_split_middles():
@@ -108,7 +108,7 @@ def test_criterion_04_almost_split_middles():
                            f"{what}: middle")
     ok(4, "W(p)[(0,p)]-sequence middle = W(2p); zeta' middle for V(p+a) = "
           "L(a)[(p,0)] + L(a)[(0,p)] + 2p-dim projective, a < p-1, "
-          "p in {3,5}")
+          "p in {3,5,7}")
 
 
 def test_criterion_05_torsion_identities():
@@ -125,7 +125,7 @@ def test_criterion_05_torsion_identities():
                     shift(C.weyl_hat(p, s * p - a - 2), (a + 1, a + 1)))
                 assert_iso(t2, expected, f"p={p}: second torsion identity")
     ok(5, "t(V((s+1)p+a)[(-p,0)]) = W(sp+a) and "
-          "t(V((s+2)p+a)[(-p,-p)]) = V(sp-a-2)[(a+1,a+1)]^o, p in {3,5}")
+          "t(V((s+2)p+a)[(-p,-p)]) = V(sp-a-2)[(a+1,a+1)]^o, p in {3,5,7}")
 
 
 def _check_poly_sequence(end, left, middles, what):
@@ -170,7 +170,7 @@ def test_criterion_06_induced_polynomial_sequences():
             [C.w_hat(p, s * p + a), C.w_hat_twisted(p, s * p + a)],
             f"p={p}: V-sequence a={a}")
     ok(6, "induced sequences, their twists and the V-ending sequence "
-          "reproduced for s=2, all admissible l, a in {0,1}, p in {3,5}")
+          "reproduced for s=2, all admissible l, a in {0,1}, p in {3,5,7}")
 
 
 def test_criterion_07_block_templates():
@@ -204,7 +204,7 @@ def test_criterion_08_morita_and_block_count():
 
 
 def test_criterion_09_wings_and_orbit_scan():
-    for p, s, a in itertools.product(PRIMES + (7,), (1, 2, 3), (0, 1)):
+    for p, s, a in itertools.product(PRIMES, (1, 2, 3), (0, 1)):
         what = f"p={p}: W({s * p + a})"
         seed = C.w_hat(p, s * p + a)
         mods = AQ.wing_modules(seed)
@@ -244,7 +244,7 @@ def test_criterion_10_duality_laws():
         rep = AQ.column_symmetry_check(patch)
         assert rep["applicable"] and rep["passed"], (p, rep)
     ok(10, "double dual and u/t duality hold, simples self-dual, and the "
-           "V(p)-component column symmetry check passes, p in {3,5}")
+           "V(p)-component column symmetry check passes, p in {3,5,7}")
 
 
 def test_criterion_11_borel_backend():
@@ -279,7 +279,7 @@ def test_criterion_11_borel_backend():
             assert bt == conv, f"p={p}: {bm} * {bn} -> {bt} != {conv}"
     ok(11, "quasi-hereditary evidence for d <= 8, nakayama shift "
            "(p^r-1)(1,-1), and Betti convolution on 5 outer tensors, "
-           "p in {3,5}")
+           "p in {3,5,7}")
 
 
 def test_criterion_12_forgetful_coherence():

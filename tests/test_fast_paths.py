@@ -3,7 +3,9 @@ here (and in reference_gf) as the reference; results must be identical
 arrays, not merely equal spans."""
 
 import functools
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import reference_polynomial as RPY
 import reference_projective as RP
 import reference_radical as RR
 import ungraded_oracle as UO
+import grquiver
 from grquiver import arquiver as AQ
 from grquiver import constructions as C
 from grquiver import grmod as G
@@ -178,11 +181,22 @@ SLICES = [(3, d) for d in range(3, 9)] + [(5, d) for d in range(5, 8)]
 FIELDS = {p: PrimeField(p) for p in (3, 5)}
 
 
+GRQUIVER_CACHES = [
+    obj for module in (importlib.import_module(f"grquiver.{info.name}")
+                       for info in pkgutil.iter_modules(grquiver.__path__))
+    for obj in vars(module).values() if hasattr(obj, "cache_clear")]
+
+
 def clear_caches():
-    """Empty the four shift-class caches."""
-    for cache in (G._hom_space_cached, G._decompose_cached, H._presentation,
-                  H._almost_split):
+    """Empty every `functools` cache of the library."""
+    for cache in GRQUIVER_CACHES:
         cache.cache_clear()
+
+
+def clear_torsion_caches():
+    """Empty the t and u caches, so the next t or u computes."""
+    polynomial._t_poly.cache_clear()
+    polynomial._u_poly.cache_clear()
 
 
 def same_column_space(ff, a, b):
@@ -331,6 +345,7 @@ def test_homogenize_columns_against_loop(candidates, covers, monkeypatch):
         for m in mods:
             for build in (radical, socle, H.omega_with_maps,
                           polynomial.t_poly, polynomial.u_poly):
+                clear_torsion_caches()
                 build(m)
     monkeypatch.undo()
     assert len(seen) > 1000
@@ -908,6 +923,105 @@ def test_t_poly_against_fixpoint(candidates):
     assert proper > 400
 
 
+def torsion_bytes(pair):
+    """Weights, action bytes, map shape and map bytes of a (module, map)
+    pair from t or u."""
+    mod, f = pair
+    return module_bytes(mod) + [f.matrix.shape, f.matrix.dtype,
+                                f.matrix.tobytes()]
+
+
+def outside_quadrant(m):
+    return tuple(j for j, w in enumerate(m.weights)
+                 if not G.is_polynomial_weight(w))
+
+
+def torsion_cache_inputs(candidates, key):
+    """The candidates of a slice at SHIFTS and at the quadrant-crossing
+    shifts of `t_poly_inputs`; over the borel algebra the modules of
+    `borel_graded_modules`, the free ones of degree <= 3 (the standard
+    modules test the others), and their duals at the same shifts."""
+    if key == "borel":
+        mods = [n for m in borel_graded_modules(3) for n in (m, G.dual(m))]
+    else:
+        mods = candidates[key]
+    return [G.shift(m, lam) for m in mods
+            for p in [m.algebra.p]
+            for lam in SHIFTS + [(-1, 0), (0, -1), (-p, 0), (-p, -p)]]
+
+
+@pytest.mark.parametrize("key", SLICES + ["borel"], ids=lambda k: (
+    k if k == "borel" else f"p{k[0]}-d{k[1]}"))
+def test_torsion_caches_against_uncached_bodies(candidates, key):
+    # t and u served from a cache warmed by other shifts of the module, a
+    # cold miss and the uncached bodies run on the module agree byte for
+    # byte; each cache misses once per shift class and mask
+    mods = torsion_cache_inputs(candidates, key)
+    for fast, slow, cache in (
+            (polynomial.t_poly, RPY.t_poly_uncached, polynomial._t_poly),
+            (polynomial.u_poly, RPY.u_poly_uncached, polynomial._u_poly)):
+        cache.cache_clear()
+        warm = [torsion_bytes(fast(m)) for m in mods]
+        keys = {(class_origin(m).to_json(), outside_quadrant(m))
+                for m in mods}
+        assert cache.cache_info().misses == len(keys) < len(mods)
+        for m, got in zip(mods, warm):
+            cache.cache_clear()
+            assert got == torsion_bytes(fast(m)) == torsion_bytes(fast(m))
+            assert got == torsion_bytes(slow(m))
+
+
+def test_standard_modules_against_uncached_construction():
+    # Delta(lambda) = u(Z_r(lambda)) from the cached Z_r(0) and the u cache,
+    # warm across degrees as in the quasi-hereditary check and cold, against
+    # the uncached u of Z_r(lambda) built at lambda
+    polynomial._u_poly.cache_clear()
+    lams = {}
+    for p, r in itertools.product((3, 5), (1, 2)):
+        alg = C.borel_algebra(p, r)
+        lams[alg] = [(a, d - a) for d in range(9) for a in range(d + 1)]
+    warm = {(alg, lam): module_bytes(polynomial.standard_module(lam, alg))
+            for alg, ls in lams.items() for lam in ls}
+    assert polynomial._u_poly.cache_info().hits > len(warm) / 2
+    for (alg, lam), got in warm.items():
+        polynomial._u_poly.cache_clear()
+        assert got == module_bytes(polynomial.standard_module(lam, alg))
+        ref = RPY.u_poly_uncached(RPY.borel_projective(lam, alg))[0]
+        assert got == module_bytes(ref)
+
+
+def test_borel_projective_against_construction_at_lambda():
+    for p, r in itertools.product((3, 5, 7), (1, 2)):
+        for alg in (C.borel_algebra(p, r), C.borel_algebra(p, r, 2, True)):
+            for lam in [(0, 0), (2, 1), (-3, 4), (5, -p), (p, p)]:
+                z = C.borel_projective(lam, alg)
+                assert module_bytes(z) == module_bytes(
+                    RPY.borel_projective(lam, alg))
+                assert G.validate(z) == []
+
+
+def test_torsion_and_free_caches_hand_out_copies():
+    m = G.shift(C.weyl_hat(3, 7), (-3, 1))
+    for fast in (polynomial.t_poly, polynomial.u_poly):
+        first = fast(m)
+        before = torsion_bytes(first)
+        assert 0 < first[0].dim < m.dim
+        for mat in [first[1].matrix, *first[0].action.values()]:
+            mat += 1
+        assert torsion_bytes(fast(m)) == before
+    alg = C.borel_algebra(3, 2)
+    z = C.borel_projective((1, 2), alg)
+    before = module_bytes(z)
+    for mat in z.action.values():
+        mat += 1
+    assert module_bytes(C.borel_projective((1, 2), alg)) == before
+    delta = polynomial.standard_module((1, 2), alg)
+    before = module_bytes(delta)
+    for mat in delta.action.values():
+        mat += 1
+    assert module_bytes(polynomial.standard_module((1, 2), alg)) == before
+
+
 def closure_inputs(candidates):
     """Every input of `_closure_basis`: from `submodule_span` while the
     candidates of SLICES are built, from `t_poly` and `u_poly` on the
@@ -926,11 +1040,14 @@ def closure_inputs(candidates):
             for lab, _ in degree_candidates(p, d):
                 lab.build(p)
         for m in t_poly_inputs(candidates):
-            polynomial.t_poly(m), polynomial.u_poly(m)
+            for build in (polynomial.t_poly, polynomial.u_poly):
+                clear_torsion_caches()
+                build(m)
         for p, r in itertools.product((3, 5), (1, 2)):
             alg = C.borel_algebra(p, r)
             for d in range(9):
                 for lam in range(d + 1):
+                    clear_torsion_caches()
                     polynomial.standard_module((lam, d - lam), alg)
     return seen
 
@@ -997,15 +1114,15 @@ def test_injective_resolution_against_polynomial_hulls(key):
                    for t, r in zip(terms, ref))
 
 
-def borel_graded_modules():
+def borel_graded_modules(free_degree=8):
     """Over (p, r) in {3, 5} x {1, 2}: the free modules Z_r(lambda) of
-    degree <= 8, Omega^k k for k = 1..3 and, at r = 2, the outer tensors of
-    acceptance criterion 11."""
+    degree <= free_degree, Omega^k k for k = 1..3 and, at r = 2, the outer
+    tensors of acceptance criterion 11."""
     for p, r in itertools.product((3, 5), (1, 2)):
         alg = C.borel_algebra(p, r)
         k = G.character_module(alg, (0, 0))
         yield from (C.borel_projective((lam, d - lam), alg)
-                    for d in range(9) for lam in range(d + 1))
+                    for d in range(free_degree + 1) for lam in range(d + 1))
         yield from (H.omega_pow(k, i) for i in (1, 2, 3))
         if r == 2:
             yield from outer_tensors(p)
@@ -1037,12 +1154,13 @@ def graded_calls(candidates, covers):
         for module in (G, H, C, polynomial):
             mp.setattr(module, "submodule_from_subspace",
                        recorder("subspace"))
-        for module in (G, H, AQ, polynomial):
+        for module in (G, H, polynomial):
             mp.setattr(module, "quotient", recorder("quotient"))
         clear_caches()  # Hom, splits and Omega must compute, not hit a cache
         for m in seen["u"]:
             for build in (radical, socle, top, H.omega_with_maps,
                           polynomial.t_poly, polynomial.u_poly):
+                clear_torsion_caches()
                 build(m)
         ends = [m for m in [b for b in borel if b.algebra.r == 2]
                 + candidates[(3, 4)] if not H.is_projective(m)]
