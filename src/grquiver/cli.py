@@ -99,6 +99,8 @@ def cmd_ar(args, out) -> int:
 
 
 def cmd_schur(args, out) -> int:
+    if args.d < 0:
+        raise ValueError(f"--d must be >= 0, got {args.d}")
     q = arquiver.schur_block_quiver(args.p, args.d, args.seed_label)
     if args.drop_projective_injective:
         s = q.stable_part()

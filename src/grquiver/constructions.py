@@ -150,6 +150,18 @@ def projective_indec(p: int, a: int) -> GradedModule:
     return _read_only(shift(piece, lam))
 
 
+@lru_cache(maxsize=None)
+def _projective_top(p: int, a: int) -> tuple[GradedModule, np.ndarray]:
+    """top(Q(a)) and the projection Q(a) -> top(Q(a)), read-only.
+
+    top commutes with shift, so shifting the top by mu gives the top of
+    Q(a)[mu] with the same projection matrix.
+    """
+    t, proj = top(projective_indec(p, a))
+    proj.matrix.flags.writeable = False
+    return _read_only(t), proj.matrix
+
+
 # ---------------------------------------------------------------------------
 # borel families
 

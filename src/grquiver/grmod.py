@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -78,10 +78,9 @@ class AlgebraKind:
         return (-step, step)
 
 
-def _field_cache(p: int, _cache={}) -> PrimeField:
-    if p not in _cache:
-        _cache[p] = PrimeField(p)
-    return _cache[p]
+@lru_cache(maxsize=None)
+def _field_cache(p: int) -> PrimeField:
+    return PrimeField(p)
 
 
 @dataclass
@@ -346,8 +345,8 @@ def shift(m: GradedModule, lam: Weight) -> GradedModule:
 
 def _packed(algebra: AlgebraKind, mats) -> np.ndarray:
     """mats, read-only, in the smallest unsigned type holding 0..p-1."""
-    out = np.asarray(mats).astype(np.min_scalar_type(algebra.p - 1))
-    out.flags.writeable = False
+    out = np.array(mats, dtype=np.min_scalar_type(algebra.p - 1))
+    out.setflags(write=False)
     return out
 
 
@@ -356,11 +355,18 @@ def _packed_action(m: GradedModule) -> np.ndarray:
     return _packed(m.algebra, [m.action[g] for g in m.algebra.generators()])
 
 
-def _unpacked(algebra: AlgebraKind, mu: Weight, weights: tuple[Weight, ...],
-              action) -> GradedModule:
-    """The module with these weights shifted by mu and the generator
-    matrices packed in action (a `_packed_action` array, or its bytes),
-    copied into fresh int64 arrays."""
+class _Packed(tuple):
+    """(weights, action): a module's weights relative to a shift and its
+    `_packed_action` (an array, or its bytes in a cache key)."""
+
+    __slots__ = ()
+
+
+def _unpacked(algebra: AlgebraKind, mu: Weight,
+              packed: _Packed) -> GradedModule:
+    """The packed module shifted by mu, its generator matrices copied into
+    fresh int64 arrays."""
+    weights, action = packed
     gens = algebra.generators()
     if isinstance(action, bytes):
         n = len(weights)
@@ -372,9 +378,9 @@ def _unpacked(algebra: AlgebraKind, mu: Weight, weights: tuple[Weight, ...],
 
 
 def _shift_class(m: GradedModule, mu: Weight | None = None
-                 ) -> tuple[Weight, tuple[Weight, ...], bytes]:
-    """(mu, the weights of m relative to mu, the packed action bytes): with
-    the algebra, the key of m's class under legal shifts.
+                 ) -> tuple[Weight, _Packed]:
+    """(mu, m relative to mu with its action bytes): with the algebra, the
+    key of m's class under legal shifts.
 
     mu is the support minimum, with mu0 lowered by (mu0 - mu1) mod p for
     sl2r1, so shifting by -mu keeps H consistent with the weights (the
@@ -386,8 +392,79 @@ def _shift_class(m: GradedModule, mu: Weight | None = None
         mu = m.support_min() if m.dim else (0, 0)
         if m.algebra.kind == "sl2r1":
             mu = (mu[0] - (mu[0] - mu[1]) % m.algebra.p, mu[1])
-    return (mu, tuple((a - mu[0], b - mu[1]) for a, b in m.weights),
-            _packed_action(m).tobytes())
+    return mu, _Packed((tuple((a - mu[0], b - mu[1]) for a, b in m.weights),
+                        _packed_action(m).tobytes()))
+
+
+def _frozen(algebra: AlgebraKind, x):
+    """x stored for a cache: a module as `_Packed`, an array by `_packed`,
+    a tuple or list item by item."""
+    if isinstance(x, GradedModule):
+        return _Packed((x.weights, _packed_action(x)))
+    if isinstance(x, (tuple, list)):
+        return type(x)([_frozen(algebra, y) for y in x])
+    return _packed(algebra, x)
+
+
+def _thawed(algebra: AlgebraKind, mu: Weight, x):
+    """A `_frozen` x shifted by mu, in fresh modules and int64 arrays."""
+    if isinstance(x, _Packed):
+        return _unpacked(algebra, mu, x)
+    if isinstance(x, np.ndarray):
+        return x.astype(np.int64)
+    return type(x)([_thawed(algebra, mu, y) for y in x])
+
+
+class _ThawedTuple:
+    """A cached tuple whose items are thawed when read, afresh on every
+    read, so a caller unpacks only the items it reads."""
+
+    __slots__ = ("algebra", "mu", "items")
+
+    def __init__(self, algebra: AlgebraKind, mu: Weight, items: tuple):
+        self.algebra, self.mu, self.items = algebra, mu, items
+
+    def __getitem__(self, i: int):
+        return _thawed(self.algebra, self.mu, self.items[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.items)))
+
+
+def _shift_cached(maxsize: int):
+    """Memoize f(m, *rest) by m's shift class, in a bounded LRU cache.
+
+    The key is m's algebra and `_shift_class(m)`, each module in rest
+    taken relative to m's mu (the modules share m's algebra), and the other
+    arguments as they are.  On a miss f runs on the modules rebuilt from
+    the key, at mu = (0, 0), and its result (a module, an array, or a tuple
+    or list of them) is stored packed and read-only.  Every call hands
+    back fresh int64 copies shifted by mu, so writing into them never
+    reaches the cache; the items of a tuple are thawed only when read.
+    So f must commute with legal shifts: read weights only through
+    equality and sorted order, which a shift keeps.  The wrapper has the
+    cache's `cache_info` and `cache_clear`.
+    """
+    def decorate(f):
+        @lru_cache(maxsize=maxsize)
+        def cached(algebra: AlgebraKind, *key):
+            return _frozen(algebra, f(*[
+                _unpacked(algebra, (0, 0), k) if isinstance(k, _Packed)
+                else k for k in key]))
+
+        @wraps(f)
+        def wrapper(m: GradedModule, *rest):
+            mu, key = _shift_class(m)
+            out = cached(m.algebra, key, *[
+                _shift_class(x, mu)[1] if isinstance(x, GradedModule) else x
+                for x in rest])
+            if type(out) is tuple:
+                return _ThawedTuple(m.algebra, mu, out)
+            return _thawed(m.algebra, mu, out)
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+    return decorate
 
 
 def dual(m: GradedModule) -> GradedModule:
@@ -616,26 +693,14 @@ def top(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
 def hom_space(m: GradedModule, n: GradedModule) -> list[np.ndarray]:
     """Basis of degree-0 intertwiners m -> n, as (dim n x dim m) matrices.
 
-    Memoized by shift class: both modules are taken relative to m's legal
-    shift mu (see `_shift_class`), so shifting m and n together hits the
-    cache.  The basis reads weights only through equality, which the shift
-    keeps.  Every call returns fresh int64 matrices.
+    Memoized by shift class (`_shift_cached`): n is taken relative to m's
+    legal shift, so shifting m and n together hits the cache.  The basis
+    reads weights only through equality.  Every call returns fresh int64
+    matrices.
     """
     if m.algebra != n.algebra:
         raise ValueError("hom_space requires a common algebra")
-    mu, mw, ma = _shift_class(m)
-    _, nw, na = _shift_class(n, mu)
-    return list(_hom_space_cached(m.algebra, mw, ma, nw, na)
-                .astype(np.int64))
-
-
-@lru_cache(maxsize=1024)
-def _hom_space_cached(algebra: AlgebraKind, mw: tuple[Weight, ...],
-                      ma: bytes, nw: tuple[Weight, ...],
-                      na: bytes) -> np.ndarray:
-    return _packed(algebra, _hom_space_uncached(
-        _unpacked(algebra, (0, 0), mw, ma),
-        _unpacked(algebra, (0, 0), nw, na)))
+    return list(_hom_space_cached(m, n))
 
 
 def _hom_space_uncached(m: GradedModule, n: GradedModule) -> np.ndarray:
@@ -676,6 +741,9 @@ def _hom_space_uncached(m: GradedModule, n: GradedModule) -> np.ndarray:
     basis = np.zeros((kernel.shape[1], n.dim, m.dim), dtype=np.int64)
     basis[:, si, sj] = kernel.T
     return basis
+
+
+_hom_space_cached = _shift_cached(1024)(_hom_space_uncached)
 
 
 def _nilpotent_parts(m: GradedModule,
@@ -821,33 +889,15 @@ def _endo_candidates(m: GradedModule, basis: list[np.ndarray]):
             yield ff.combine(rng.integers(0, p, size=k), stacked)
 
 
-def _decompose_rec(m: GradedModule
-                   ) -> list[tuple[GradedModule, np.ndarray]]:
+def _decompose_uncached(m: GradedModule
+                        ) -> list[tuple[GradedModule, np.ndarray]]:
     """Indecomposable summands of m, each with its inclusion matrix into m;
     together the inclusions form an invertible matrix.
 
-    Memoized by shift class (see `_shift_class`): the pieces are stored
-    relative to m's legal shift mu and shifted back on every call, as fresh
-    modules and int64 inclusions.  The split reads weights only through
-    equality and sorted order, which the shift keeps.
+    `_decompose_rec` is this split memoized by shift class, and the
+    sub-summands go through it.  The split reads weights only through
+    equality and sorted order.
     """
-    mu, weights, action = _shift_class(m)
-    return [(_unpacked(m.algebra, mu, w, a), incl.astype(np.int64))
-            for w, a, incl in _decompose_cached(m.algebra, weights, action)]
-
-
-@lru_cache(maxsize=256)
-def _decompose_cached(algebra: AlgebraKind, weights: tuple[Weight, ...],
-                      action: bytes) -> tuple:
-    return tuple(
-        (piece.weights, _packed_action(piece), _packed(algebra, incl))
-        for piece, incl in _decompose_uncached(
-            _unpacked(algebra, (0, 0), weights, action)))
-
-
-def _decompose_uncached(m: GradedModule
-                        ) -> list[tuple[GradedModule, np.ndarray]]:
-    """`_decompose_rec` computed on m; sub-summands go through the cache."""
     if m.dim == 0:
         return []
     ff = m.field
@@ -878,3 +928,6 @@ def _decompose_uncached(m: GradedModule
     raise RuntimeError(
         "End(m) is not local over F_p, but no candidate endomorphism splits "
         "m: the module may only decompose over an extension field")
+
+
+_decompose_rec = _shift_cached(256)(_decompose_uncached)

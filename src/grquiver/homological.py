@@ -4,15 +4,13 @@ sequences, Betti sequences and complexity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import constructions
-from .grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
-                    _decompose_rec, _nilpotent_parts, _packed,
-                    _packed_action, _shift_class, _unpacked, direct_sum,
-                    dual, hom_space, is_isomorphic, quotient, shift,
+from .grmod import (GradedModule, ModuleMap, Weight, _decompose_rec,
+                    _nilpotent_parts, _shift_cached, direct_sum, dual,
+                    hom_space, is_isomorphic, quotient, shift,
                     submodule_from_subspace, top, zero_module)
 
 
@@ -60,19 +58,6 @@ def _find_section(middle: GradedModule, right: GradedModule,
 # projective covers
 
 
-@lru_cache(maxsize=None)
-def _projective_top(p: int, a: int) -> tuple[GradedModule, np.ndarray]:
-    """top(Q(a)) and the projection Q(a) -> top(Q(a)), read-only.
-
-    top commutes with shift, so shifting the top by mu gives the top of
-    Q(a)[mu] with the same projection matrix.
-    """
-    t, proj = top(constructions.projective_indec(p, a))
-    for arr in (*t.action.values(), proj.matrix):
-        arr.flags.writeable = False
-    return t, proj.matrix
-
-
 def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Minimal projective cover (P, epi); epi is an iso on tops."""
     if m.dim == 0:
@@ -110,7 +95,7 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     for piece, incl in _decompose_rec(t):
         a = piece.dim - 1
         mu = piece.support_min()
-        tq, proj_q = _projective_top(m.algebra.p, a)
+        tq, proj_q = constructions._projective_top(m.algebra.p, a)
         psi = is_isomorphic(shift(tq, mu), piece)
         if psi is None:
             raise RuntimeError("top summand is not a shifted simple")
@@ -156,24 +141,12 @@ def is_projective(m: GradedModule) -> bool:
 # Heller shifts and the AR translate
 
 
-@lru_cache(maxsize=256)
-def _presentation(algebra: AlgebraKind, weights: tuple[Weight, ...],
-                  action: bytes) -> tuple:
-    """The minimal presentation of the module with these weights and this
-    packed action (generators stacked in order), packed:
-    ((K weights, K action), incl, (P weights, P action), epi)."""
-    m = _unpacked(algebra, (0, 0), weights, action)
+@_shift_cached(256)
+def _presentation(m: GradedModule) -> tuple:
+    """(K, incl, P, epi) of `omega_with_maps`, the maps as matrices."""
     P, epi = projective_cover(m)
     K, incl = submodule_from_subspace(P, m.field.kernel_basis(epi.matrix))
-    return ((K.weights, _packed_action(K)), _packed(algebra, incl.matrix),
-            (P.weights, _packed_action(P)), _packed(algebra, epi.matrix))
-
-
-def _cached_presentation(m: GradedModule) -> tuple[Weight, tuple]:
-    """(mu, the packed `_presentation` of m's shift class): the terms are
-    stored relative to m's legal shift mu (see `grmod._shift_class`)."""
-    mu, weights, action = _shift_class(m)
-    return mu, _presentation(m.algebra, weights, action)
+    return K, incl.matrix, P, epi.matrix
 
 
 def omega_with_maps(m: GradedModule
@@ -186,21 +159,17 @@ def omega_with_maps(m: GradedModule
     minimality of the cover.
 
     The presentation commutes with shift, so it is computed once per shift
-    class: `_presentation` (a bounded LRU cache) is keyed by
-    `grmod._shift_class`, and K and P are shifted back. The constructors
-    copy the packed cached arrays into fresh int64 ones. A caller that
-    needs K alone calls `omega`, which unpacks nothing else.
+    class (`_presentation`, memoized by `grmod._shift_cached`). A caller
+    that needs K alone calls `omega`, which unpacks nothing else.
     """
-    mu, ((kw, ka), incl, (pw, pa), epi) = _cached_presentation(m)
-    K, P = _unpacked(m.algebra, mu, kw, ka), _unpacked(m.algebra, mu, pw, pa)
+    K, incl, P, epi = _presentation(m)
     return K, ModuleMap(K, P, incl), P, ModuleMap(P, m, epi)
 
 
 def omega(m: GradedModule) -> GradedModule:
     """Omega m, the K of `omega_with_maps(m)` with the same bytes; of the
     cached presentation only K is unpacked."""
-    mu, ((kw, ka), *_) = _cached_presentation(m)
-    return _unpacked(m.algebra, mu, kw, ka)
+    return _presentation(m)[0]
 
 
 def omega_pow(m: GradedModule, k: int) -> GradedModule:
@@ -314,29 +283,20 @@ def almost_split_sequence(v: GradedModule) -> ShortExact:
     endomorphism of v; realized as a pushout of the minimal presentation.
 
     The sequence commutes with shift, so it is computed, and checked exact
-    and non-split, once per shift class, as the presentation is:
-    `_almost_split` (a bounded LRU cache) is keyed by
-    `grmod._shift_class`, the left and middle terms are shifted back and
-    the right term is v itself.
+    and non-split, once per shift class, as the presentation is
+    (`_almost_split`); the right term is v itself.
     """
-    mu, weights, action = _shift_class(v)
-    (lw, la), (mw, ma), inj, surj = _almost_split(v.algebra, weights, action)
-    left = _unpacked(v.algebra, mu, lw, la)
-    middle = _unpacked(v.algebra, mu, mw, ma)
+    left, middle, inj, surj = _almost_split(v)
     return ShortExact(left, middle, v, ModuleMap(left, middle, inj),
                       ModuleMap(middle, v, surj))
 
 
-@lru_cache(maxsize=256)
-def _almost_split(algebra: AlgebraKind, weights: tuple[Weight, ...],
-                  action: bytes) -> tuple:
-    """The almost split sequence ending at the module with these weights
-    and this packed action, packed: ((left weights, left action), (middle
-    weights, middle action), inj, surj)."""
-    seq = _almost_split_uncached(_unpacked(algebra, (0, 0), weights, action))
-    return ((seq.left.weights, _packed_action(seq.left)),
-            (seq.middle.weights, _packed_action(seq.middle)),
-            _packed(algebra, seq.inj.matrix), _packed(algebra, seq.surj.matrix))
+@_shift_cached(256)
+def _almost_split(v: GradedModule) -> tuple:
+    """(left, middle, inj, surj) of `_almost_split_uncached(v)`, the maps
+    as matrices."""
+    seq = _almost_split_uncached(v)
+    return seq.left, seq.middle, seq.inj.matrix, seq.surj.matrix
 
 
 def _almost_split_uncached(v: GradedModule) -> ShortExact:
@@ -429,10 +389,10 @@ def betti(m: GradedModule, n_terms: int) -> BettiSequence:
         if cur.dim == 0:
             dims.append(0)
             continue
-        # dim P read off the cached P weights; only K is unpacked
-        mu, ((kw, ka), _, (pw, _), _) = _cached_presentation(cur)
-        dims.append(len(pw))
-        cur = _unpacked(cur.algebra, mu, kw, ka)
+        # 0 -> Omega m -> P -> m -> 0, so dim P = dim m + dim Omega m
+        k = omega(cur)
+        dims.append(cur.dim + k.dim)
+        cur = k
     return BettiSequence(dims)
 
 

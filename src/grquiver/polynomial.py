@@ -6,14 +6,12 @@ for the degree-d blocks on the borel side."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import constructions, homological
-from .grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
-                    _closure_basis, _packed, _packed_action, _shift_class,
-                    _unpacked, dual, hom_space, is_polynomial_weight,
+from .grmod import (GradedModule, ModuleMap, Weight, _closure_basis,
+                    _shift_cached, dual, hom_space, is_polynomial_weight,
                     quotient, submodule_from_subspace, weight_degree,
                     zero_module)
 
@@ -36,15 +34,11 @@ def _closure_of(m: GradedModule, bad: tuple[int, ...]) -> np.ndarray:
     return _closure_basis(m, m.field.eye(m.dim)[:, list(bad)])
 
 
-def _torsion(m: GradedModule, cache) -> tuple[GradedModule, np.ndarray]:
-    """(t(m) or u(m), the packed map) from cache, `_t_poly` or `_u_poly`,
-    keyed by m's `grmod._shift_class` and the indices of its basis vectors
-    outside the polynomial quadrant, and shifted back to m's weights."""
-    mu, weights, action = _shift_class(m)
-    bad = tuple(j for j, w in enumerate(m.weights)
-                if not is_polynomial_weight(w))
-    (tw, ta), mat = cache(m.algebra, weights, action, bad)
-    return _unpacked(m.algebra, mu, tw, ta), mat
+def _outside(m: GradedModule) -> tuple[int, ...]:
+    """The mask: the indices of m's basis vectors outside the polynomial
+    quadrant."""
+    return tuple(j for j, w in enumerate(m.weights)
+                 if not is_polynomial_weight(w))
 
 
 def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
@@ -52,44 +46,38 @@ def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     the annihilator of the non-polynomial closure of the dual under the
     pairing (x, y) -> x^T y.
 
-    t reads the weights only through the basis vectors outside the
-    quadrant, weight equality and sorted weight order, which a shift keeps,
-    so it is computed once per shift class and mask: `_t_poly` (a bounded
-    LRU cache) is keyed as `_torsion` says, and t(m) is shifted back.
+    t reads the weights only through the mask (`_outside`), weight
+    equality and sorted weight order, which a shift keeps, so it is
+    computed once per shift class and mask (`_t_poly`, memoized by
+    `grmod._shift_cached`).
     """
-    sub, incl = _torsion(m, _t_poly)
+    sub, incl = _t_poly(m, _outside(m))
     return sub, ModuleMap(sub, m, incl)
 
 
-@lru_cache(maxsize=256)
-def _t_poly(algebra: AlgebraKind, weights: tuple[Weight, ...], action: bytes,
-            bad: tuple[int, ...]) -> tuple:
-    """t of the module with these weights and this packed action, the
-    vectors bad taken as the non-polynomial ones, packed: ((t weights,
-    t action), incl)."""
-    m = _unpacked(algebra, (0, 0), weights, action)
+@_shift_cached(256)
+def _t_poly(m: GradedModule, bad: tuple[int, ...]) -> tuple:
+    """(t(m), its inclusion matrix), the vectors bad taken as the
+    non-polynomial ones."""
     closure = _closure_of(dual(m), bad)
     sub, incl = submodule_from_subspace(m, m.field.kernel_basis(closure.T))
-    return (sub.weights, _packed_action(sub)), _packed(algebra, incl.matrix)
+    return sub, incl.matrix
 
 
 def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Largest polynomial quotient: divide by the submodule generated by the
     non-polynomial weight spaces; cached by shift class and mask as `t_poly`
     is."""
-    q, proj = _torsion(m, _u_poly)
+    q, proj = _u_poly(m, _outside(m))
     return q, ModuleMap(m, q, proj)
 
 
-@lru_cache(maxsize=256)
-def _u_poly(algebra: AlgebraKind, weights: tuple[Weight, ...], action: bytes,
-            bad: tuple[int, ...]) -> tuple:
-    """u of the module with these weights and this packed action, the
-    vectors bad taken as the non-polynomial ones, packed: ((u weights,
-    u action), proj)."""
-    m = _unpacked(algebra, (0, 0), weights, action)
+@_shift_cached(256)
+def _u_poly(m: GradedModule, bad: tuple[int, ...]) -> tuple:
+    """(u(m), its projection matrix), the vectors bad taken as the
+    non-polynomial ones."""
     q, proj = quotient(m, _closure_of(m, bad))
-    return (q.weights, _packed_action(q)), _packed(algebra, proj.matrix)
+    return q, proj.matrix
 
 
 def induced_sequence(seq: homological.ShortExact

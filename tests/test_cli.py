@@ -235,6 +235,11 @@ class TestInputErrors:
                                       "-1")
         assert "--d must be >= 0, got -1" in err
 
+    def test_negative_schur_degree(self, capsys):
+        err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d",
+                                      "-1")
+        assert "--d must be >= 0, got -1" in err and "L(-1)" not in err
+
     def test_decomposable_schur_seed(self, capsys):
         # V(5) splits at p=3 since 5 = p - 1 mod p
         err = self.assert_usage_error(capsys, "--p", "3", "schur", "--d", "5")

@@ -477,8 +477,8 @@ def test_hit_paths_unpack_only_what_they_return(build, monkeypatch):
     H.omega(m), H.tau_inv(m), H.betti(m, 4)
     misses = H._presentation.cache_info().misses
     unpacked = []
-    real = H._unpacked
-    monkeypatch.setattr(H, "_unpacked",
+    real = G._unpacked
+    monkeypatch.setattr(G, "_unpacked",
                         lambda *args: unpacked.append(1) or real(*args))
     monkeypatch.setattr(H, "omega_with_maps", lambda m: pytest.fail(
         "omega_with_maps was called"))
@@ -586,7 +586,7 @@ def test_hom_and_split_caches_are_shift_exact(candidates, key, monkeypatch):
 
     def misses():
         return (G._hom_space_cached.cache_info().misses,
-                G._decompose_cached.cache_info().misses)
+                G._decompose_rec.cache_info().misses)
 
     def warm(m, n):
         """Cache Hom(m, n) and, for n = m, the split of m, recording every
@@ -616,6 +616,23 @@ def test_hom_and_split_caches_are_shift_exact(candidates, key, monkeypatch):
                 == basis_bytes(G._hom_space_uncached(sa, sb))
     # every input is valid, so every module the caches built is
     assert rebuilt and all(G.validate(m) == [] for m in rebuilt.values())
+
+
+def test_hom_space_with_one_side_shifted(candidates):
+    # the Hom cache keys n relative to m's shift, so Hom(a, b[lam]) and
+    # Hom(a[lam], b), served from a cache warmed by every pair, equal the
+    # uncached body byte for byte; only modules of one degree share a
+    # weight, and the tau shift (p, -p) keeps the degree
+    mods = [m for (p, _), ms in candidates.items() if p == 3 for m in ms]
+    pairs = [(m, n) for lam in SHIFTS + [(3, -3)]
+             for a, b in itertools.product(mods, mods)
+             if a.degree() == b.degree() + sum(lam)
+             for m, n in [(a, G.shift(b, lam)), (G.shift(b, lam), a)]]
+    clear_caches()
+    warm = [basis_bytes(hom_space(m, n)) for m, n in pairs]
+    assert any(warm) and not all(warm)
+    for (m, n), got in zip(pairs, warm):
+        assert got == basis_bytes(G._hom_space_uncached(m, n))
 
 
 def test_hom_and_split_caches_hand_out_copies():

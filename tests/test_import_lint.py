@@ -1,5 +1,8 @@
-"""Import lint: every name that a module of src/grquiver or tests/ imports
-is referenced in that module (a name listed in `__all__` counts)."""
+"""Import lint: every name that a module of src/grquiver, tests/ or demos/
+imports is referenced in that module (a name listed in `__all__` counts).
+Packing lint: no module of src/grquiver or demos/ but grmod names the
+packed cache storage or the shift-class key, so their format stays behind
+`grmod._shift_cached`."""
 
 import ast
 import pathlib
@@ -7,8 +10,11 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
-FILES = sorted((ROOT / "src" / "grquiver").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "grquiver").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py")) + DEMOS
+PACKING = {"_Packed", "_packed", "_packed_action", "_unpacked",
+           "_shift_class", "_frozen", "_thawed"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +51,32 @@ def test_lint_catches_unused_import():
               "__all__ = ['loads']\n"
               "print(os.path.sep)\n")
     assert unused_imports(source) == ["line 2: np", "line 4: dumps"]
+
+
+def packing_references(source: str) -> list[str]:
+    """The references to a name of PACKING, as a name, an attribute or an
+    imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in PACKING:
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [f for f in SRC + DEMOS
+                                  if f.name != "grmod.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_packing_stays_in_grmod(path):
+    assert packing_references(path.read_text()) == []
+
+
+def test_lint_catches_packing_reference():
+    source = ("from .grmod import _packed, _shift_cached, shift\n"
+              "from . import grmod\n"
+              "key = grmod._shift_class(m)\n"
+              "build = _unpacked\n")
+    assert packing_references(source) == [
+        "line 1: _packed", "line 3: _shift_class", "line 4: _unpacked"]
