@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grmod import (AlgebraKind, GradedModule, Weight, character_module,
-                    dual, is_isomorphic, shift, submodule_from_subspace,
+                    dual, is_isomorphic, kernel_submodule, shift,
                     submodule_span, top, weyl_twist)
 
 
@@ -139,8 +139,7 @@ def projective_indec(p: int, a: int) -> GradedModule:
     half = pow(2, p - 2, p)
     casimir = (ff.matmul(E, F) + ff.matmul(F, E) + half * ff.matmul(H, H)
                - ((a + 1) ** 2 - 1) * half * ff.eye(big.dim))
-    piece, _ = submodule_from_subspace(
-        big, ff.kernel_basis(ff.matpow(casimir, big.dim)))
+    piece, _ = kernel_submodule(big, ff.matpow(casimir, big.dim))
     t, _ = top(piece)
     lam = (-t.support_min()[0], -t.support_min()[1])
     if piece.dim != 2 * p or is_isomorphic(shift(t, lam),

@@ -7,6 +7,10 @@ anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
+from operator import itemgetter
+
 import numpy as np
 
 
@@ -33,9 +37,7 @@ class PrimeField:
             raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
         self.p = p
         # inverse table: inv[a] = a^(p-2) mod p for a in [1, p)
-        self._inv = np.array(
-            [0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64
-        )
+        self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -55,7 +57,7 @@ class PrimeField:
         a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
-        return int(self._inv[a])
+        return self._inv[a]
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.int64)
@@ -100,50 +102,84 @@ class PrimeField:
     def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
         """Reduced row echelon form: the one elimination kernel.
 
-        Columns are walked left to right; the first nonzero entry at or
-        below the current row is the pivot.  Only the other rows with a
-        nonzero in the pivot column are updated, which is few on graded
-        systems.  The RREF is unique, so the update order does not matter.
+        The matrix is eliminated as Python row lists, which on the small
+        graded systems costs less than a numpy call per row operation.
+        Zero rows and columns stay zero, so the zero rows are dropped and
+        the zero columns skipped.  The other columns are walked left to
+        right; the first nonzero entry at or below the current row is the
+        pivot, and the pivot row is scaled by an int inverse table.  Only
+        the other rows with a nonzero in the pivot column are updated: at
+        the pivot row's nonzero positions, or by one list comprehension
+        over the remaining width when at least a quarter of it is nonzero.
+        The RREF is unique, so the update order does not matter.  The rows
+        up to the rank are converted back to int64 once; the others are
+        zero.
 
         Returns:
             (rref matrix, strictly increasing pivot column list, rank).
         """
-        p = self.p
-        a = self.reduce(m)
-        rows, cols = a.shape
+        p, inv = self.p, self._inv
+        full = self.reduce(m)
+        cols = full.shape[1]
+        live = np.flatnonzero(full.any(axis=0)).tolist()
+        a = full[full.any(axis=1)].tolist()
+        rows = len(a)
         pivots: list[int] = []
         r = 0
-        for c in range(cols):
+        for c in live:
             if r == rows:
                 break
-            below = a[r:, c].nonzero()[0]
-            if not below.size:
+            hit = list(compress(range(rows), map(itemgetter(c), a)))
+            k = bisect_left(hit, r)
+            if k == len(hit):
                 continue
-            i = r + int(below[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            a[r, c:] = a[r, c:] * self._inv[a[r, c]] % p
-            hit = a[:, c].nonzero()[0]
-            if hit.size > 1:
-                hit = hit[hit != r]
-                a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
+            i = hit[k]  # the pivot row; after the swap, row i has a 0 at c
+            a[r], a[i] = a[i], a[r]
+            row = a[r]
+            support = list(compress(range(c, cols), row[c:]))
+            dense = 4 * len(support) >= cols - c
+            s = inv[row[c]]
+            if s != 1:
+                if dense:
+                    row[c:] = [x * s % p for x in row[c:]]
+                else:
+                    for j in support:
+                        row[j] = row[j] * s % p
+            for h in hit:
+                if h == i:
+                    continue
+                other = a[h]
+                f = other[c]
+                if dense:
+                    other[c:] = [(x - f * y) % p
+                                 for x, y in zip(other[c:], row[c:])]
+                else:
+                    for j in support:
+                        other[j] = (other[j] - f * row[j]) % p
             pivots.append(c)
             r += 1
-        return a, pivots, len(pivots)
+        out = np.zeros_like(full)
+        if r:
+            out[:r] = a[:r]  # the rows past the rank are zero
+        return out, pivots, r
 
     def rank(self, m: np.ndarray) -> int:
         return self.rref(m)[2]
 
     def kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Columns form a basis of the null space {x : m @ x = 0}."""
+        return self.null_space(m)[0]
+
+    def null_space(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(kernel_basis(m), free), free the non-pivot columns of m: the
+        basis is the identity on the rows free, so the coordinates of a
+        vector of the null space are its entries there."""
         r, pivots, rank = self.rref(m)
-        is_free = np.ones(r.shape[1], dtype=bool)
-        is_free[pivots] = False
-        free = np.flatnonzero(is_free)
+        free = np.delete(np.arange(r.shape[1]), pivots)
         basis = self.zeros(r.shape[1], free.size)
         basis[free, np.arange(free.size)] = 1
         basis[pivots, :] = -r[:rank, free] % self.p
-        return basis
+        return basis, free
 
     def solve(self, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """One solution of m @ x = b, or None when the system is inconsistent."""

@@ -192,13 +192,12 @@ class ModuleMap:
             self.target.dim, self.source.dim)
 
     def check(self) -> list[str]:
-        errs = []
         ff = self.source.field
-        for j in range(self.source.dim):
-            for i in range(self.target.dim):
-                if self.matrix[i, j] and (self.target.weights[i]
-                                          != self.source.weights[j]):
-                    errs.append(f"entry ({i},{j}) violates weight preservation")
+        ws = np.array(self.source.weights, dtype=np.int64).reshape(-1, 2)
+        wt = np.array(self.target.weights, dtype=np.int64).reshape(-1, 2)
+        off = (wt[:, None] != ws[None]).any(axis=2) & (self.matrix != 0)
+        errs = [f"entry ({i},{j}) violates weight preservation"
+                for j, i in zip(*np.nonzero(off.T))]
         for g in self.source.algebra.generators():
             lhs = ff.matmul(self.target.action[g], self.matrix)
             rhs = ff.matmul(self.matrix, self.source.action[g])
@@ -514,15 +513,20 @@ def _weight_columns(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
     vectors = m.field.reduce(vectors)
     if vectors.shape[0] != m.dim:
         raise ValueError("subspace basis has wrong ambient dimension")
+    return vectors[:, _weight_order(m, vectors)]
+
+
+def _weight_order(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
+    """The stable sort of the columns, weight vectors of m, by weight."""
     if not vectors.size:
-        return vectors
+        return np.arange(vectors.shape[1])
     wts = np.array(m.weights, dtype=np.int64)
     nonzero = vectors != 0
     own = wts[nonzero.argmax(axis=0)]
     rows, cols = np.nonzero(nonzero)
     if np.any(wts[rows] != own[cols]):
         raise ValueError("subspace is not graded")  # constraint, not expected
-    return vectors[:, np.lexsort(own.T[::-1])]
+    return np.lexsort(own.T[::-1])
 
 
 def _weight_component_basis(m: GradedModule,
@@ -539,12 +543,14 @@ def submodule_span(m: GradedModule,
                    ) -> tuple[GradedModule, ModuleMap]:
     """Smallest homogeneous submodule containing the given weight vectors."""
     vecs = np.reshape(generators, (len(generators), m.dim)).T
-    return submodule_from_subspace(m, _closure_basis(m, vecs))
+    return submodule_from_subspace(
+        m, _closure_basis(m, _weight_component_basis(m, vecs)))
 
 
-def _closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
-    """Weight-vector basis of the smallest submodule containing the columns,
-    each column a weight vector.
+def _closure_basis(m: GradedModule, basis: np.ndarray) -> np.ndarray:
+    """Weight-vector basis of the smallest submodule containing the columns
+    of basis: independent weight vectors, reduced mod p and sorted by
+    weight, as `_weight_component_basis` returns them.
 
     A round reduces the basis together with the images of only the columns
     the last round added, in basis order: the images of older columns
@@ -555,7 +561,7 @@ def _closure_basis(m: GradedModule, vectors: np.ndarray) -> np.ndarray:
     """
     ff = m.field
     movers = [m.action[g] for g in m.algebra.generators() if g != "H"]
-    basis = added = _weight_component_basis(m, vectors)
+    added = basis
     while added.shape[1]:
         grown = _weight_component_basis(m, np.hstack(
             [basis] + [ff.matmul(a, added) for a in movers]))
@@ -589,6 +595,40 @@ def submodule_from_subspace(m: GradedModule,
               for t, g in enumerate(gens)}
     sub = GradedModule(m.algebra, weights, action)
     return sub, ModuleMap(sub, m, chosen)
+
+
+def kernel_submodule(m: GradedModule,
+                     mat: np.ndarray) -> tuple[GradedModule, ModuleMap]:
+    """The submodule on the null space of mat, a matrix with m.dim columns
+    whose null space is invariant, with its inclusion: the bytes of
+    submodule_from_subspace(m, kernel_basis(mat)) from one elimination."""
+    return _submodule_on_kernel(m, *m.field.null_space(mat))
+
+
+def _submodule_on_kernel(m: GradedModule, basis: np.ndarray,
+                         free: np.ndarray) -> tuple[GradedModule, ModuleMap]:
+    """`kernel_submodule` on the null space basis, the identity on the rows
+    free, and those rows.
+
+    The basis is independent, so `submodule_from_subspace` would keep all
+    of it, sorted by weight; the coordinates of a vector of its span are
+    its entries on the free rows, taken in that order.  Invariance is
+    certified by rebuilding each generator's image from them, which holds
+    by construction on the free rows, so only the others are compared.
+    """
+    ff = m.field
+    order = _weight_order(m, basis)
+    cols, rows = basis[:, order], free[order]
+    pivot_rows = np.delete(np.arange(m.dim), free)
+    action = {}
+    for g in m.algebra.generators():
+        image = ff.matmul(m.action[g], cols)
+        action[g] = image[rows]
+        if not np.array_equal(ff.matmul(cols[pivot_rows], action[g]),
+                              image[pivot_rows]):
+            raise ValueError("basis not invariant under the action")
+    sub = GradedModule(m.algebra, tuple(m.weights[j] for j in rows), action)
+    return sub, ModuleMap(sub, m, cols)
 
 
 def quotient(m: GradedModule,
@@ -676,14 +716,34 @@ def radical(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
 def socle(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """The sum of the simple submodules, with its inclusion, on the
     echelon basis of its span."""
-    ff = m.field
-    return submodule_from_subspace(
-        m, ff.kernel_basis(ff.kernel_basis(_socle_span(m).T).T))
+    return kernel_submodule(m, m.field.kernel_basis(_socle_span(m).T).T)
 
 
 def top(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
-    """m / rad(m) with its projection."""
-    return quotient(m, _radical_span(m))
+    """m / rad(m) with its projection: the bytes of
+    quotient(m, _radical_span(m)) from one elimination.
+
+    On the borel side rad m is spanned by the images of the X_i.  Over
+    sl2r1 the projection quotient would take is the echelon basis of the
+    annihilator of rad m, the span of soc(dual m) (see `_radical_span`):
+    the nonzero rows of the RREF of its transpose, whose pivots are the
+    representatives.  The projection intertwining each generator with its
+    action on the quotient certifies that rad m is a submodule.
+    """
+    if m.algebra.kind == "borel":
+        return quotient(m, np.hstack([m.action[g]
+                                      for g in m.algebra.generators()]))
+    ff = m.field
+    r, chosen, rank = ff.rref(_socle_span(dual(m)).T)
+    proj = r[:rank]
+    action = {}
+    for g in m.algebra.generators():
+        action[g] = ff.matmul(proj, m.action[g][:, chosen])
+        if not np.array_equal(ff.matmul(proj, m.action[g]),
+                              ff.matmul(action[g], proj)):
+            raise ValueError(f"submodule not closed under {g}")
+    q = GradedModule(m.algebra, tuple(m.weights[j] for j in chosen), action)
+    return q, ModuleMap(m, q, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -842,16 +902,17 @@ def is_isomorphic(m: GradedModule, n: GradedModule) -> np.ndarray | None:
                      ff.inv_matrix(np.hstack([incl for _, incl in ours])))
 
 
-def _fitting_split(m: GradedModule, psi: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Split m along ker(psi^dim) + im(psi^dim) when both are proper."""
+def _fitting_split(m: GradedModule, psi: np.ndarray):
+    """The submodules ker(psi^dim) and im(psi^dim), with their inclusions,
+    when both are proper; both from one elimination of psi^dim, whose
+    pivot columns span the image."""
     ff = m.field
     power = ff.matpow(psi, m.dim)
-    kernel = ff.kernel_basis(power)
-    if kernel.shape[1] in (0, m.dim):
+    basis, free = ff.null_space(power)
+    if free.size in (0, m.dim):
         return None
-    image = ff.column_space_basis(power)
-    return kernel, image
+    return (_submodule_on_kernel(m, basis, free),
+            submodule_from_subspace(m, np.delete(power, free, axis=1)))
 
 
 def decompose(m: GradedModule) -> list[tuple[GradedModule, int]]:
@@ -920,11 +981,8 @@ def _decompose_uncached(m: GradedModule
             psi = (phi - c * ff.eye(m.dim)) % ff.p
             split = _fitting_split(m, psi)
             if split is not None:
-                kernel, image = split
-                sub_k, incl_k = submodule_from_subspace(m, kernel)
-                sub_i, incl_i = submodule_from_subspace(m, image)
-                return (included(incl_k.matrix, sub_k)
-                        + included(incl_i.matrix, sub_i))
+                return [pair for sub, incl in split
+                        for pair in included(incl.matrix, sub)]
     raise RuntimeError(
         "End(m) is not local over F_p, but no candidate endomorphism splits "
         "m: the module may only decompose over an extension field")

@@ -10,8 +10,8 @@ import numpy as np
 from . import constructions
 from .grmod import (GradedModule, ModuleMap, Weight, _decompose_rec,
                     _nilpotent_parts, _shift_cached, direct_sum, dual,
-                    hom_space, is_isomorphic, quotient, shift,
-                    submodule_from_subspace, top, zero_module)
+                    hom_space, is_isomorphic, kernel_submodule, quotient,
+                    shift, top, zero_module)
 
 
 @dataclass
@@ -59,7 +59,11 @@ def _find_section(middle: GradedModule, right: GradedModule,
 
 
 def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
-    """Minimal projective cover (P, epi); epi is an iso on tops."""
+    """Minimal projective cover (P, epi); epi is an iso on tops.
+
+    epi is surjective because it is onto the top; `_presentation`
+    certifies that from the dimension of its kernel.
+    """
     if m.dim == 0:
         z = zero_module(m.algebra)
         return z, ModuleMap(z, m, np.zeros((0, 0), dtype=np.int64))
@@ -69,11 +73,10 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
         covers = [constructions.borel_projective(w, m.algebra)
                   for w in t.weights]
         P = direct_sum(covers)
-        # homogeneous preimages of the top basis vectors, as columns
-        pre = ff.solve_matrix(proj.matrix, ff.eye(t.dim))
-        assert pre is not None
-        reps = np.where([[wi == w for w in t.weights] for wi in m.weights],
-                        pre, 0)
+        # homogeneous preimages of the top basis vectors, as columns: the
+        # projection is in echelon form, so e_j for the column j of each
+        # row's leading one
+        reps = ff.eye(m.dim)[:, (proj.matrix != 0).argmax(axis=1)]
         # Z(w) has the monomials X^c as basis, c in lexicographic order, and
         # every nonzero action entry is 1; the X_i commute, so the epi
         # sends X^c to X^c rep.  Powers of the last variable vary fastest.
@@ -84,10 +87,7 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
                 powers.append(ff.matmul(m.action[g], powers[-1].reshape(
                     m.dim, -1)).reshape(cols.shape))
             cols = np.concatenate(powers, axis=2)
-        epi = ModuleMap(P, m, cols.reshape(m.dim, -1))
-        if not epi.is_surjective():
-            raise RuntimeError("borel cover construction failed to surject")
-        return P, epi
+        return P, ModuleMap(P, m, cols.reshape(m.dim, -1))
     # sl2r1: one Q(a)[mu] per simple summand L(a)[mu] of the top, grouped by
     # isomorphism class in order of first appearance; the target P -> top(m)
     # sends the top of each Q(a)[mu] isomorphically onto its summand
@@ -111,10 +111,7 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
                  target.reshape(-1))
     if x is None:
         raise RuntimeError("projectivity lift failed (should not happen)")
-    epi = ModuleMap(P, m, ff.combine(x, basis))
-    if not epi.is_surjective():
-        raise RuntimeError("cover candidate is not surjective")
-    return P, epi
+    return P, ModuleMap(P, m, ff.combine(x, basis))
 
 
 def _free(m: GradedModule, x: np.ndarray) -> bool:
@@ -143,9 +140,12 @@ def is_projective(m: GradedModule) -> bool:
 
 @_shift_cached(256)
 def _presentation(m: GradedModule) -> tuple:
-    """(K, incl, P, epi) of `omega_with_maps`, the maps as matrices."""
+    """(K, incl, P, epi) of `omega_with_maps`, the maps as matrices; K is
+    the kernel of epi, whose dimension certifies that epi is onto."""
     P, epi = projective_cover(m)
-    K, incl = submodule_from_subspace(P, m.field.kernel_basis(epi.matrix))
+    K, incl = kernel_submodule(P, epi.matrix)
+    if K.dim != P.dim - m.dim:
+        raise RuntimeError("projective cover is not surjective")
     return K, incl.matrix, P, epi.matrix
 
 

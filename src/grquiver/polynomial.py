@@ -11,9 +11,9 @@ import numpy as np
 
 from . import constructions, homological
 from .grmod import (GradedModule, ModuleMap, Weight, _closure_basis,
-                    _shift_cached, dual, hom_space, is_polynomial_weight,
-                    quotient, submodule_from_subspace, weight_degree,
-                    zero_module)
+                    _shift_cached, _weight_columns, dual, hom_space,
+                    is_polynomial_weight, kernel_submodule, quotient,
+                    weight_degree, zero_module)
 
 
 @dataclass
@@ -30,8 +30,9 @@ def is_polynomial(m: GradedModule) -> PolyVerdict:
 
 def _closure_of(m: GradedModule, bad: tuple[int, ...]) -> np.ndarray:
     """Weight-vector basis of the submodule generated by the basis vectors
-    bad."""
-    return _closure_basis(m, m.field.eye(m.dim)[:, list(bad)])
+    bad: distinct unit vectors, a reduced basis once sorted by weight."""
+    eye = m.field.eye(m.dim)
+    return _closure_basis(m, _weight_columns(m, eye[:, list(bad)]))
 
 
 def _outside(m: GradedModule) -> tuple[int, ...]:
@@ -59,8 +60,7 @@ def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
 def _t_poly(m: GradedModule, bad: tuple[int, ...]) -> tuple:
     """(t(m), its inclusion matrix), the vectors bad taken as the
     non-polynomial ones."""
-    closure = _closure_of(dual(m), bad)
-    sub, incl = submodule_from_subspace(m, m.field.kernel_basis(closure.T))
+    sub, incl = kernel_submodule(m, _closure_of(dual(m), bad).T)
     return sub, incl.matrix
 
 
@@ -149,15 +149,13 @@ def poly_projective_resolution(v: GradedModule, n: int) -> list[GradedModule]:
     polynomial category."""
     terms = []
     cur = v
-    ff = v.field
     for _ in range(n):
         if cur.dim == 0:
             terms.append(zero_module(v.algebra))
             continue
         P, cover = poly_projective_cover(cur)
         terms.append(P)
-        kernel = ff.kernel_basis(cover.matrix)
-        cur, _ = submodule_from_subspace(P, kernel)
+        cur, _ = kernel_submodule(P, cover.matrix)
     return terms
 
 

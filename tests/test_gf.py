@@ -121,14 +121,15 @@ class TestSolve:
         assert np.array_equal(F3.matmul(a, inv), np.eye(2))
 
 
-FIELDS = {3: F3, 5: F5}
+PRIMES = [3, 5, 7, 11, 13]
+FIELDS = {p: PrimeField(p) for p in PRIMES}
 
 
 @st.composite
 def matrices(draw, rows=None, cols=None):
-    """(p, a) with p in {3, 5} and a = x @ y for an inner dimension of 0..7,
+    """(p, a) with p in PRIMES and a = x @ y for an inner dimension of 0..7,
     so empty, wide, tall and rank-deficient shapes all occur."""
-    p = draw(st.sampled_from([3, 5]))
+    p = draw(st.sampled_from(PRIMES))
     rows = draw(st.integers(0, 7)) if rows is None else rows
     cols = draw(st.integers(0, 7)) if cols is None else cols
     inner = draw(st.integers(0, 7))
@@ -145,7 +146,7 @@ def matrices(draw, rows=None, cols=None):
 def block_diagonal(draw):
     """(p, a): low-rank blocks on the diagonal, zero rows and zero columns
     appended, then rows and columns permuted."""
-    p = draw(st.sampled_from([3, 5]))
+    p = draw(st.sampled_from(PRIMES))
     a = np.zeros((0, 0), dtype=np.int64)
     for _ in range(draw(st.integers(1, 4))):
         b = draw(matrices())[1] % p
@@ -160,7 +161,7 @@ def block_diagonal(draw):
 @st.composite
 def one_per_column(draw):
     """(p, a) with exactly one nonzero entry in each column."""
-    p = draw(st.sampled_from([3, 5]))
+    p = draw(st.sampled_from(PRIMES))
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(0, 10))
     a = np.zeros((rows, cols), dtype=np.int64)
     for c in range(cols):
@@ -172,7 +173,7 @@ def one_per_column(draw):
 def tall_or_wide(draw):
     """(p, a) of shape >= 100 x 6 or 6 x >= 200, with a density of nonzero
     entries from 0 (the zero matrix) to 1."""
-    p = draw(st.sampled_from([3, 5]))
+    p = draw(st.sampled_from(PRIMES))
     shape = draw(st.sampled_from([(100, 6), (131, 6), (6, 200), (6, 257)]))
     density = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -242,6 +243,24 @@ class TestAgainstReferenceLoop:
         with pytest.raises(OverflowError):
             F5._check_headroom(2 ** 59)
         F5._check_headroom(2 ** 59 - 1)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rref_on_large_shapes(self, p):
+        """A mostly-zero 987 x 3 matrix, whose few nonzero rows are far
+        apart, its transpose, a dense 100 x 100 one and a dense product of
+        rank at most 60."""
+        rng = np.random.default_rng(p)
+        sparse = np.zeros((987, 3), dtype=np.int64)
+        sparse[[5, 400, 401, 986], :] = rng.integers(1, p, size=(4, 3))
+        dense = rng.integers(0, p, size=(100, 100))
+        low = rng.integers(0, p, size=(100, 60)) @ rng.integers(
+            0, p, size=(60, 100)) % p
+        for a in (sparse, sparse.T, dense, low):
+            r, pivots, rank = FIELDS[p].rref(a)
+            r_ref, pivots_ref, rank_ref = R.rref(p, a)
+            assert_same(r, r_ref)
+            assert (pivots, rank) == (pivots_ref, rank_ref)
+        assert FIELDS[p].rank(low) <= 60
 
     @given(SPARSE, st.integers(0, 3), st.booleans(),
            st.integers(0, 2 ** 32 - 1))

@@ -204,6 +204,21 @@ class TestHomAndIso:
         assert m.field.rank(phi) == m.dim
 
 
+class TestModuleMapCheck:
+    def test_weight_violations_in_column_order(self):
+        # entries (2,1) and (0,3) join different weights; they are reported
+        # column by column, so (2,1) first, then the intertwining failures
+        v3 = C.weyl_hat(P, 3)
+        phi = np.eye(v3.dim, dtype=np.int64)
+        phi[0, 3], phi[2, 1] = 1, 2
+        errs = ModuleMap(v3, v3, phi).check()
+        assert errs[:2] == ["entry (2,1) violates weight preservation",
+                            "entry (0,3) violates weight preservation"]
+        assert errs[2:] and all(e.startswith("does not intertwine")
+                                for e in errs[2:])
+        assert ModuleMap(v3, v3, np.eye(v3.dim, dtype=np.int64)).check() == []
+
+
 class TestDecompose:
     def test_indecomposable_weyl(self, v6):
         parts = decompose(v6)

@@ -2,7 +2,10 @@
 imports is referenced in that module (a name listed in `__all__` counts).
 Packing lint: no module of src/grquiver or demos/ but grmod names the
 packed cache storage or the shift-class key, so their format stays behind
-`grmod._shift_cached`."""
+`grmod._shift_cached`.
+Kernel lint: no module of src/grquiver builds a submodule as
+`submodule_from_subspace(m, ....kernel_basis(mat))`, two eliminations where
+`grmod.kernel_submodule(m, mat)` takes one."""
 
 import ast
 import pathlib
@@ -80,3 +83,41 @@ def test_lint_catches_packing_reference():
               "build = _unpacked\n")
     assert packing_references(source) == [
         "line 1: _packed", "line 3: _shift_class", "line 4: _unpacked"]
+
+
+def _called_name(node) -> str | None:
+    """The name a call calls: f(...) or x.f(...) give f."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def kernel_submodule_detours(source: str) -> list[str]:
+    """The calls of submodule_from_subspace whose basis argument is a call
+    of kernel_basis."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if _called_name(node) == "submodule_from_subspace":
+            bases = node.args[1:] + [k.value for k in node.keywords
+                                     if k.arg == "basis"]
+            if any(_called_name(b) == "kernel_basis" for b in bases):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_kernel_submodules_take_one_elimination(path):
+    assert kernel_submodule_detours(path.read_text()) == []
+
+
+def test_lint_catches_kernel_submodule_detour():
+    source = ("sub, _ = submodule_from_subspace(P, ff.kernel_basis(epi))\n"
+              "grmod.submodule_from_subspace(\n"
+              "    m, basis=m.field.kernel_basis(x.T))\n"
+              "submodule_from_subspace(m, kernel)\n"
+              "kernel_submodule(m, ff.kernel_basis(x).T)\n"
+              "submodule_from_subspace(m, ff.column_space_basis(x))\n")
+    assert kernel_submodule_detours(source) == ["line 1", "line 2"]
