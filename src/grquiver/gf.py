@@ -121,7 +121,7 @@ class PrimeField:
         p, inv = self.p, self._inv
         full = self.reduce(m)
         cols = full.shape[1]
-        live = np.flatnonzero(full.any(axis=0)).tolist()
+        live = compress(range(cols), full.any(axis=0).tolist())
         a = full[full.any(axis=1)].tolist()
         rows = len(a)
         pivots: list[int] = []
@@ -136,32 +136,33 @@ class PrimeField:
             i = hit[k]  # the pivot row; after the swap, row i has a 0 at c
             a[r], a[i] = a[i], a[r]
             row = a[r]
-            support = list(compress(range(c, cols), row[c:]))
-            dense = 4 * len(support) >= cols - c
             s = inv[row[c]]
-            if s != 1:
-                if dense:
-                    row[c:] = [x * s % p for x in row[c:]]
-                else:
-                    for j in support:
-                        row[j] = row[j] * s % p
-            for h in hit:
-                if h == i:
-                    continue
-                other = a[h]
-                f = other[c]
-                if dense:
-                    other[c:] = [(x - f * y) % p
-                                 for x, y in zip(other[c:], row[c:])]
-                else:
-                    for j in support:
-                        other[j] = (other[j] - f * row[j]) % p
+            if s != 1 or len(hit) > 1:
+                support = list(compress(range(c, cols), row[c:]))
+                dense = 4 * len(support) >= cols - c
+                if s != 1:
+                    if dense:
+                        row[c:] = [x * s % p for x in row[c:]]
+                    else:
+                        for j in support:
+                            row[j] = row[j] * s % p
+                for h in hit:
+                    if h == i:
+                        continue
+                    other = a[h]
+                    f = other[c]
+                    if dense:
+                        other[c:] = [(x - f * y) % p
+                                     for x, y in zip(other[c:], row[c:])]
+                    else:
+                        for j in support:
+                            other[j] = (other[j] - f * row[j]) % p
             pivots.append(c)
             r += 1
-        out = np.zeros_like(full)
+        full[r:] = 0  # full is a fresh array: the result is written there
         if r:
-            out[:r] = a[:r]  # the rows past the rank are zero
-        return out, pivots, r
+            full[:r] = a[:r]
+        return full, pivots, r
 
     def rank(self, m: np.ndarray) -> int:
         return self.rref(m)[2]

@@ -356,10 +356,10 @@ def _almost_split_uncached(v: GradedModule) -> ShortExact:
     rel = np.vstack([hmat, (-incl.matrix) % ff.p])
     E, projD = quotient(D, rel)
     inj = ModuleMap(tv, E, projD.matrix[:, :tv.dim])
+    # psi = (0, epi) kills rel, so surj is psi on the representatives of
+    # E, the columns of the leading ones of the echelon projection
     psi = np.hstack([np.zeros((v.dim, tv.dim), dtype=np.int64), epi.matrix])
-    S = ff.solve_matrix(projD.matrix.T, psi.T)
-    assert S is not None
-    surj = ModuleMap(E, v, S.T)
+    surj = ModuleMap(E, v, psi[:, (projD.matrix != 0).argmax(axis=1)])
     seq = ShortExact(tv, E, v, inj, surj)
     errs = seq.check()
     if errs:

@@ -1210,15 +1210,15 @@ def borel_graded_modules(free_degree=8):
 @pytest.fixture(scope="module")
 def graded_calls(candidates, covers):
     """Every input of `_weight_component_basis`, `submodule_from_subspace`,
-    `kernel_submodule`, `quotient` and `u_poly` met while
-    computing radicals, socles, tops, Omega, t and u of the candidates,
-    their covers, the borel modules and their duals (the free modules' u
-    are the standard modules), and the almost split sequences ending at the
-    r = 2 borel modules and the candidates of p=3 d=4, whose pushouts are
-    the quotients met last.  The unit vectors that `_closure_of` sorts
-    count as inputs of `_weight_component_basis`, and the null space bases
-    that `kernel_submodule` and `_fitting_split` build their submodules on
-    as inputs of `submodule_from_subspace`: the routes they replace."""
+    `kernel_submodule`, `quotient` and `u_poly` met while computing
+    radicals, socles, tops, Omega, t and u of the candidates, their covers,
+    the borel modules and their duals (the free modules' u are the standard
+    modules), and the almost split sequences ending at the r = 2 borel
+    modules and the candidates of p=3 d=4, whose pushouts are the quotients
+    met last.  The unit vectors that `_closure_of` sorts count as inputs of
+    `_weight_component_basis`, and the null space bases that
+    `kernel_submodule` and `_fitting_split` build their submodules on as
+    inputs of `submodule_from_subspace`: the routes they replace."""
     seen = {"components": [], "units": [], "subspace": [], "quotient": [],
             "kernel": []}
     real = {"components": G._weight_component_basis,
