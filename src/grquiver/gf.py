@@ -72,26 +72,10 @@ class PrimeField:
                 f"inner dimension {inner} overflows int64 over F_{self.p}")
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b mod p, for entries in [0, p).
-
-        numpy has no fast integer product, so for a product of at least
-        2^16 multiplications whose left factor is a matrix with fewer than
-        one nonzero entry in 8 (as action matrices are), only the nonzero
-        entries are multiplied, and the products are summed row by row.
-        """
+        """a @ b mod p, for entries in [0, p)."""
         a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         self._check_headroom(a.shape[-1])
-        if (a.ndim == b.ndim == 2 and a.size * b.shape[1] >= 1 << 16
-                and 8 * np.count_nonzero(a) < a.size):
-            rows, inner = np.nonzero(a)
-            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-            if rows.size:
-                starts = np.flatnonzero(np.diff(rows, prepend=-1))
-                out[rows[starts]] = np.add.reduceat(
-                    a[rows, inner, None] * b[inner], starts, axis=0)
-            return out % self.p
-        return (a @ b) % self.p
+        return (a @ np.asarray(b, dtype=np.int64)) % self.p
 
     def combine(self, coeffs, mats) -> np.ndarray:
         """sum_t coeffs[t] * mats[t] mod p, for a sequence of equal-shape

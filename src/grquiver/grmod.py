@@ -660,6 +660,14 @@ def quotient(m: GradedModule,
     return q, ModuleMap(m, q, proj)
 
 
+def quotient_representatives(proj: ModuleMap) -> np.ndarray:
+    """The basis vectors of m whose images are the basis of q, for the
+    projection m -> q of `quotient` or `top`: the projection is in
+    reduced echelon form, so they are the columns of its rows' leading
+    ones."""
+    return (proj.matrix != 0).argmax(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # radical / socle / top
 

@@ -11,7 +11,7 @@ from . import constructions
 from .grmod import (GradedModule, ModuleMap, Weight, _decompose_rec,
                     _nilpotent_parts, _shift_cached, direct_sum, dual,
                     hom_space, is_isomorphic, kernel_submodule, quotient,
-                    shift, top, zero_module)
+                    quotient_representatives, shift, top, zero_module)
 
 
 @dataclass
@@ -73,10 +73,8 @@ def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
         covers = [constructions.borel_projective(w, m.algebra)
                   for w in t.weights]
         P = direct_sum(covers)
-        # homogeneous preimages of the top basis vectors, as columns: the
-        # projection is in echelon form, so e_j for the column j of each
-        # row's leading one
-        reps = ff.eye(m.dim)[:, (proj.matrix != 0).argmax(axis=1)]
+        # homogeneous preimages of the top basis vectors, as columns
+        reps = ff.eye(m.dim)[:, quotient_representatives(proj)]
         # Z(w) has the monomials X^c as basis, c in lexicographic order, and
         # every nonzero action entry is 1; the X_i commute, so the epi
         # sends X^c to X^c rep.  Powers of the last variable vary fastest.
@@ -356,10 +354,9 @@ def _almost_split_uncached(v: GradedModule) -> ShortExact:
     rel = np.vstack([hmat, (-incl.matrix) % ff.p])
     E, projD = quotient(D, rel)
     inj = ModuleMap(tv, E, projD.matrix[:, :tv.dim])
-    # psi = (0, epi) kills rel, so surj is psi on the representatives of
-    # E, the columns of the leading ones of the echelon projection
+    # psi = (0, epi) kills rel, so surj is psi on the representatives of E
     psi = np.hstack([np.zeros((v.dim, tv.dim), dtype=np.int64), epi.matrix])
-    surj = ModuleMap(E, v, psi[:, (projD.matrix != 0).argmax(axis=1)])
+    surj = ModuleMap(E, v, psi[:, quotient_representatives(projD)])
     seq = ShortExact(tv, E, v, inj, surj)
     errs = seq.check()
     if errs:

@@ -245,21 +245,6 @@ class TestAgainstReferenceLoop:
         F5._check_headroom(2 ** 59 - 1)
 
     @pytest.mark.parametrize("p", PRIMES)
-    @pytest.mark.parametrize("density", [0.0, 0.005, 0.05, 0.12, 0.5])
-    def test_matmul_of_large_products(self, p, density):
-        """matmul, which multiplies only the nonzero entries of a left
-        factor with fewer than one nonzero in 8 when the product has at
-        least 2^16 terms, against the dense product (densities 0.12 and 0.5
-        take the dense path)."""
-        rng = np.random.default_rng(p)
-        a = rng.integers(0, p, size=(200, 150)) * (
-            rng.random((200, 150)) < density)
-        b = rng.integers(0, p, size=(150, 60))
-        for k in (0, 1, 60):
-            assert_same(FIELDS[p].matmul(a, b[:, :k]),
-                        R.matmul(p, a, b[:, :k]))
-
-    @pytest.mark.parametrize("p", PRIMES)
     def test_rref_on_large_shapes(self, p):
         """A mostly-zero 987 x 3 matrix, whose few nonzero rows are far
         apart, its transpose, a dense 100 x 100 one and a dense product of

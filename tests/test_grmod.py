@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from grquiver import constructions as C
 from grquiver.grmod import (GradedModule, ModuleMap, character_module,
                             decompose, degree_decompose, direct_sum, dual,
-                            hom_space, is_isomorphic, quotient, radical, shift,
-                            socle, submodule_from_subspace, submodule_span,
+                            hom_space, is_isomorphic, quotient,
+                            quotient_representatives, radical, shift, socle, submodule_from_subspace, submodule_span,
                             top, validate, weyl_twist, zero_module)
 
 
@@ -131,6 +131,18 @@ class TestSubquotients:
         q, proj = quotient(v6, incl.matrix)
         assert q.dim == v6.dim - sub.dim
         assert proj.check() == []
+
+    def test_quotient_representatives(self, v6):
+        """The representatives are basis vectors of m sent to the basis of
+        the quotient, at the weights of that basis."""
+        e = np.zeros(7, dtype=np.int64)
+        e[0] = 1
+        sub, incl = submodule_span(v6, [e])
+        for q, proj in (quotient(v6, incl.matrix), top(v6),
+                        top(direct_sum([v6, shift(v6, (3, 0))]))):
+            reps = quotient_representatives(proj)
+            assert np.array_equal(proj.matrix[:, reps], np.eye(q.dim))
+            assert [proj.source.weights[j] for j in reps] == list(q.weights)
 
     def test_non_graded_span_is_rejected(self):
         # e1 + e2 in L(0) + L(0)[(3, 0)] is killed by the action, so its
