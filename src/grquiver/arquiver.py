@@ -68,11 +68,7 @@ def identify(m: GradedModule) -> FamilyLabel | None:
             candidates.append(FamilyLabel(
                 "Q", d=a, shift=(mn[0] - qmn[0], mn[1] - qmn[1])))
     for lab in candidates:
-        try:
-            cand = lab.build(p)
-        except (ValueError, RuntimeError):
-            continue
-        if is_isomorphic(m, cand) is not None:
+        if is_isomorphic(m, lab.build(p)) is not None:
             return lab
     return None
 

@@ -208,11 +208,3 @@ class PrimeField:
         if np.shape(m)[1] != n:
             raise ValueError("matrix is not square")
         return self.solve_matrix(m, self.eye(n))
-
-    # -- span utilities ---------------------------------------------------
-
-    def column_space_basis(self, m: np.ndarray) -> np.ndarray:
-        """Subset of columns of m forming a basis of the column space."""
-        a = self.reduce(m)
-        _, pivots, _ = self.rref(a)
-        return a[:, pivots]

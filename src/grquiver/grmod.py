@@ -308,27 +308,21 @@ def validate(m: GradedModule) -> list[str]:
                 ba = ff.matmul(m.action[h], m.action[g])
                 if not np.array_equal(ab, ba):
                     report.append(f"relation {g}{h} = {h}{g} fails")
-    # grading compatibility, column by column
+    # grading compatibility, column by column: one mask per generator
+    w = np.array(m.weights, dtype=np.int64).reshape(-1, 2)
     for g in gens:
         d = m.algebra.action_shift(g)
-        mat = m.action[g]
-        for j in range(m.dim):
-            tgt = add_weight(m.weights[j], d)
-            for i in range(m.dim):
-                if mat[i, j] and m.weights[i] != tgt:
-                    report.append(
-                        f"grading: {g}*e_{j} hits weight {m.weights[i]}, "
-                        f"expected {tgt}")
+        off = (w[:, None] != (w + d)[None]).any(axis=2) & (m.action[g] != 0)
+        for j, i in zip(*np.nonzero(off.T)):
+            report.append(
+                f"grading: {g}*e_{j} hits weight {m.weights[i]}, "
+                f"expected {add_weight(m.weights[j], d)}")
     # torus-differential consistency
     if m.algebra.kind == "sl2r1":
-        H = m.action["H"]
-        for j in range(m.dim):
-            a, b = m.weights[j]
-            want = np.zeros(m.dim, dtype=np.int64)
-            want[j] = (a - b) % p
-            if not np.array_equal(H[:, j], want):
-                report.append(f"H does not act as (a-b) mod p on basis "
-                              f"vector {j} of weight {(a, b)}")
+        want = np.diag((w[:, 0] - w[:, 1]) % p)
+        for j in np.flatnonzero((m.action["H"] != want).any(axis=0)):
+            report.append(f"H does not act as (a-b) mod p on basis "
+                          f"vector {j} of weight {m.weights[j]}")
     return report
 
 
@@ -812,6 +806,20 @@ def _hom_space_uncached(m: GradedModule, n: GradedModule) -> np.ndarray:
 
 
 _hom_space_cached = _shift_cached(1024)(_hom_space_uncached)
+
+
+def hom_coordinates(basis) -> np.ndarray:
+    """The flat indices where a stacked `hom_space` basis is the identity,
+    one per element, so the coordinates of a map of its span are the map's
+    entries there.
+
+    The basis is the echelon null-space basis of the Hom system, whose
+    unknowns are the entries in row-major order: each element is 1 at its
+    own free unknown, its last nonzero entry, and every other element is 0
+    there.
+    """
+    flat = np.reshape(basis, (len(basis), -1))
+    return flat.shape[1] - 1 - (flat[:, ::-1] != 0).argmax(axis=1)
 
 
 def _nilpotent_parts(m: GradedModule,

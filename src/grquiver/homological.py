@@ -10,8 +10,9 @@ import numpy as np
 from . import constructions
 from .grmod import (GradedModule, ModuleMap, Weight, _decompose_rec,
                     _nilpotent_parts, _shift_cached, direct_sum, dual,
-                    hom_space, is_isomorphic, kernel_submodule, quotient,
-                    quotient_representatives, shift, top, zero_module)
+                    hom_coordinates, hom_space, is_isomorphic,
+                    kernel_submodule, quotient, quotient_representatives,
+                    shift, top, zero_module)
 
 
 @dataclass
@@ -224,21 +225,23 @@ class ExtClass:
 def _ext_system(incl: ModuleMap, w: GradedModule
                 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Ext^1(v, w) = Hom(K, w) / span(B) for the minimal presentation
-    incl: K = Omega(v) -> P of v.
+    incl: K = Omega(v) -> P of v, in the coordinates of the basis of
+    Hom(K, w) (`hom_coordinates`).
 
-    Returns the basis of Hom(K, w), stacked, and B, whose columns are the
-    flattened maps h o incl for h in Hom(P, w): the maps that factor
-    through the cover. B has no columns when Hom(P, w) = 0. When
-    Hom(K, w) = 0, B is None and Hom(P, w) is not built.
+    Returns that basis, stacked, and B, whose columns are the coordinates
+    of the maps h o incl for h in Hom(P, w): the maps that factor through
+    the cover. B has dim Hom(K, w) rows, and no columns when Hom(P, w) = 0.
+    When Hom(K, w) = 0, B is None and Hom(P, w) is not built.
     """
     K, P = incl.source, incl.target
     homs = hom_space(K, w)
     if not homs:
         return np.zeros((0, w.dim, K.dim), dtype=np.int64), None
+    at = hom_coordinates(homs)
     ff = w.field
-    B = np.array([ff.matmul(h, incl.matrix).reshape(-1)
+    B = np.array([ff.matmul(h, incl.matrix).reshape(-1)[at]
                   for h in hom_space(P, w)],
-                 dtype=np.int64).reshape(-1, w.dim * K.dim).T
+                 dtype=np.int64).reshape(-1, len(homs)).T
     return np.stack(homs), B
 
 
@@ -249,10 +252,9 @@ def ext1(v: GradedModule, w: GradedModule
     homs, B = _ext_system(incl, w)
     if B is None:
         return 0, []
-    # the pivots of [B | homs] past B pick, greedily, the homs that enlarge
+    # the pivots of [B | I] past B pick, greedily, the homs that enlarge
     # the span of B: a basis of Ext^1 = Hom(K, w) / span(B)
-    _, pivots, _ = v.field.rref(
-        np.hstack([B, homs.reshape(len(homs), -1).T]))
+    _, pivots, _ = v.field.rref(np.hstack([B, v.field.eye(len(homs))]))
     reps = [ExtClass(ModuleMap(K, w, homs[c - B.shape[1]]))
             for c in pivots if c >= B.shape[1]]
     return len(reps), reps
@@ -262,23 +264,15 @@ def ext1(v: GradedModule, w: GradedModule
 # almost split sequences
 
 
-def _radical_endos(v: GradedModule) -> list[np.ndarray]:
-    """Basis of rad End(v) for indecomposable v (nilpotent parts)."""
-    ff = v.field
-    nil = _nilpotent_parts(v, hom_space(v, v))
-    if nil is None:
-        raise RuntimeError("End(v) is not split local over F_p; "
-                           "cannot form the almost split sequence")
-    basis = ff.column_space_basis(nil.reshape(len(nil), -1).T)
-    return [basis[:, j].reshape(v.dim, v.dim) for j in range(basis.shape[1])]
-
-
 def almost_split_sequence(v: GradedModule) -> ShortExact:
     """The sequence 0 -> tau(v) -> E -> v -> 0 via the socle of Ext^1.
 
     The class is the (unique up to scalar) nonzero element of
-    Ext^1(v, tau v) killed by precomposition with every radical
-    endomorphism of v; realized as a pushout of the minimal presentation.
+    Ext^1(v, tau v) killed by composition with every radical endomorphism
+    of tau v: the socle of Ext^1(v, tau v) over End(tau v) is the line of
+    the almost split class, as is its socle over End(v) (Auslander, Reiten
+    and Smalo, Representation Theory of Artin Algebras, Ch. V). The class
+    is realized as a pushout of the minimal presentation.
 
     The sequence commutes with shift, so it is computed, and checked exact
     and non-split, once per shift class, as the presentation is
@@ -309,38 +303,21 @@ def _almost_split_uncached(v: GradedModule) -> ShortExact:
     if B is None:
         raise RuntimeError("Ext^1(v, tau v) vanishes; no almost split "
                            "sequence found")
-    A = ff.kernel_basis(B.T).T  # Ext coordinates: class of f is A @ flat(f)
+    rad = _nilpotent_parts(tv, hom_space(tv, tv))
+    if rad is None:
+        raise RuntimeError("End(tau v) is not split local over F_p; "
+                           "cannot form the almost split sequence")
+    A = ff.kernel_basis(B.T).T  # the class of coordinates c is A @ c
 
-    # lift each radical endomorphism nu to rho: P -> P with
-    # epi o rho = nu o epi, and restrict rho to Omega(nu): K -> K
-    omegas = []
-    rad = _radical_endos(v)
-    if rad:
-        endP = hom_space(P, P)
-        x = ff.solve_matrix(
-            np.stack([ff.matmul(epi.matrix, e).reshape(-1) for e in endP],
-                     axis=1),
-            np.stack([ff.matmul(nu, epi.matrix).reshape(-1) for nu in rad],
-                     axis=1))
-        if x is None:
-            raise RuntimeError("projectivity lift failed for a radical endo")
-        rhos = [ff.combine(x[:, t], endP) for t in range(len(rad))]
-        onK = ff.solve_matrix(incl.matrix, np.hstack(
-            [ff.matmul(rho, incl.matrix) for rho in rhos]))
-        assert onK is not None
-        omegas = np.split(onK, len(rad), axis=1)
-
-    # solve for h in span(homs): A @ flat(h o Omega(nu)) = 0 for all nu,
-    # with [h] nonzero; the solution space modulo B must be one-dimensional
+    # solve for the coordinates x of h in Hom(K, tau v): A @ coords(mu o h)
+    # = 0 for every radical endomorphism mu of tau v, with [h] nonzero; the
+    # solution space modulo B must be one-dimensional
     n_h = len(homs)
-    if omegas:
-        sol = ff.kernel_basis(np.vstack([
-            ff.matmul(A, ff.matmul(homs, onK).reshape(n_h, -1).T)
-            for onK in omegas]))
-    else:
-        sol = ff.eye(n_h)
-    # image of the solution space in Ext coordinates
-    ext_img = ff.matmul(A, ff.matmul(homs.reshape(n_h, -1).T, sol))
+    at = hom_coordinates(homs)
+    sol = ff.kernel_basis(np.vstack([
+        ff.matmul(A, ff.matmul(mu, homs).reshape(n_h, -1)[:, at].T)
+        for mu in rad]))
+    ext_img = ff.matmul(A, sol)  # image of the solution space in Ext
     if ff.rank(ext_img) != 1:
         raise RuntimeError(
             f"socle of Ext^1(v, tau v) has dimension {ff.rank(ext_img)}, "

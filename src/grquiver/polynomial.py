@@ -13,7 +13,7 @@ from . import constructions, homological
 from .grmod import (GradedModule, ModuleMap, Weight, _closure_basis,
                     _shift_cached, _weight_columns, dual, hom_space,
                     is_polynomial_weight, kernel_submodule, quotient,
-                    weight_degree, zero_module)
+                    quotient_representatives, weight_degree, zero_module)
 
 
 @dataclass
@@ -45,29 +45,19 @@ def _outside(m: GradedModule) -> tuple[int, ...]:
 def t_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Largest homogeneous submodule with polynomial support: t(m) = u(m^o)^o,
     the annihilator of the non-polynomial closure of the dual under the
-    pairing (x, y) -> x^T y.
-
-    t reads the weights only through the mask (`_outside`), weight
-    equality and sorted weight order, which a shift keeps, so it is
-    computed once per shift class and mask (`_t_poly`, memoized by
-    `grmod._shift_cached`).
-    """
-    sub, incl = _t_poly(m, _outside(m))
-    return sub, ModuleMap(sub, m, incl)
-
-
-@_shift_cached(256)
-def _t_poly(m: GradedModule, bad: tuple[int, ...]) -> tuple:
-    """(t(m), its inclusion matrix), the vectors bad taken as the
-    non-polynomial ones."""
-    sub, incl = kernel_submodule(m, _closure_of(dual(m), bad).T)
-    return sub, incl.matrix
+    pairing (x, y) -> x^T y."""
+    return kernel_submodule(m, _closure_of(dual(m), _outside(m)).T)
 
 
 def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Largest polynomial quotient: divide by the submodule generated by the
-    non-polynomial weight spaces; cached by shift class and mask as `t_poly`
-    is."""
+    non-polynomial weight spaces.
+
+    u reads the weights only through the mask (`_outside`), weight
+    equality and sorted weight order, which a shift keeps, so it is
+    computed once per shift class and mask (`_u_poly`, memoized by
+    `grmod._shift_cached`).
+    """
     q, proj = _u_poly(m, _outside(m))
     return q, ModuleMap(m, q, proj)
 
@@ -131,14 +121,11 @@ def poly_projective_cover(v: GradedModule
     """Cover of v by a projective object of the polynomial category: u of
     the ambient projective cover (that of `omega_with_maps`, cached by
     shift class) with the induced epi."""
-    ff = v.field
     _, _, P, epi = homological.omega_with_maps(v)
     uP, projP = u_poly(P)
-    # epi kills the non-polynomial-generated submodule, so it factors
-    rep = ff.solve_matrix(projP.matrix, ff.eye(uP.dim))
-    assert rep is not None
-    phi = ff.matmul(epi.matrix, rep)
-    cover = ModuleMap(uP, v, phi)
+    # epi kills the non-polynomial-generated submodule, so it factors, and
+    # the induced epi is epi on the representatives of u(P)'s basis
+    cover = ModuleMap(uP, v, epi.matrix[:, quotient_representatives(projP)])
     if not cover.is_surjective():
         raise RuntimeError("induced polynomial cover is not surjective")
     return uP, cover

@@ -60,7 +60,7 @@ def _fitting_split(m: GradedModule, psi: np.ndarray
     kernel = ff.kernel_basis(power)
     if kernel.shape[1] in (0, m.dim):
         return None
-    image = ff.column_space_basis(power)
+    image = power[:, ff.rref(power)[1]]
     return kernel, image
 
 

@@ -4,13 +4,14 @@ computed on the module itself without the shift-class cache, the free
 module Z_r(lambda) built at lambda, the injective hull in the polynomial
 category as t of the ambient hull, the borel projective cover as a walk
 over the free module's action, and Ext-projectivity in the polynomial
-category by the tau test."""
+category by the tau test, and the polynomial projective cover with the
+section of u(P)'s projection found by a linear solve."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from grquiver import constructions, homological
+from grquiver import constructions, homological, polynomial
 from grquiver.grmod import (AlgebraKind, GradedModule, ModuleMap, Weight,
                             _closure_basis, _highest_weight_kernel,
                             direct_sum, dual, is_polynomial_weight, quotient,
@@ -193,3 +194,21 @@ def borel_projective_cover(m: GradedModule
     if not epi.is_surjective():
         raise RuntimeError("borel cover construction failed to surject")
     return P, epi
+
+
+def poly_projective_cover(v: GradedModule
+                          ) -> tuple[GradedModule, ModuleMap]:
+    """Cover of v by a projective object of the polynomial category: u of
+    the ambient projective cover with the induced epi, epi composed with a
+    section of u(P)'s projection."""
+    ff = v.field
+    _, _, P, epi = homological.omega_with_maps(v)
+    uP, projP = polynomial.u_poly(P)
+    # epi kills the non-polynomial-generated submodule, so it factors
+    rep = ff.solve_matrix(projP.matrix, ff.eye(uP.dim))
+    assert rep is not None
+    phi = ff.matmul(epi.matrix, rep)
+    cover = ModuleMap(uP, v, phi)
+    if not cover.is_surjective():
+        raise RuntimeError("induced polynomial cover is not surjective")
+    return uP, cover

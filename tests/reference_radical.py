@@ -48,7 +48,8 @@ def sl2_radical_operators(p: int) -> tuple:
             by_weight.setdefault(wt, []).append(comp)
     out = []
     for wt in sorted(by_weight):
-        reduced = ff.column_space_basis(np.stack(by_weight[wt], axis=1))
+        a = ff.reduce(np.stack(by_weight[wt], axis=1))
+        reduced = a[:, ff.rref(a)[1]]
         for c in range(reduced.shape[1]):
             out.append(tuple((int(reduced[t, c]), *monos[t])
                              for t in range(len(monos)) if reduced[t, c]))

@@ -7,6 +7,7 @@ Each criterion is one test; on success it prints a single [PASS] line, and
 a failure surfaces as the usual pytest [FAIL] for that criterion.
 """
 
+import functools
 import itertools
 
 from grquiver import arquiver as AQ
@@ -21,6 +22,10 @@ from ungraded_oracle import has_ungraded_section, ungraded_resolution_dims
 
 P = 3
 PRIMES = (3, 5, 7)
+# the degrees whose blocks criterion 7 checks, and criterion 8 at p = 7
+BLOCK_DEGREES = ([(3, d) for d in range(3, 13)]
+                 + [(5, d) for d in range(5, 16)]
+                 + [(7, d) for d in (7, 14, 21)])
 
 
 def ok(n: int, text: str) -> None:
@@ -173,34 +178,51 @@ def test_criterion_06_induced_polynomial_sequences():
           "reproduced for s=2, all admissible l, a in {0,1}, p in {3,5,7}")
 
 
+@functools.lru_cache(maxsize=None)
+def non_semisimple_blocks(p: int, d: int) -> tuple:
+    """The blocks of degree d with more than one vertex."""
+    return tuple(q for q in AQ.schur_blocks(p, d) if len(q.vertices) > 1)
+
+
+def template_size(q, p: int) -> int:
+    """n = 2 (e // p) + 1 for the block's largest V, Vo or L parameter e,
+    which is below d for a block shifted into degree d."""
+    e = max(v.label.d for v in q.vertices.values()
+            if v.label.family in ("V", "Vo", "L"))
+    return 2 * (e // p) + 1
+
+
 def test_criterion_07_block_templates():
-    for p, s_max in ((P, 4), (5, 3)):
-        for s in range(1, s_max + 1):
-            d, n = s * p, 2 * s + 1
-            q = AQ.schur_block_quiver(p, d, f"V({d})").stable_part()
-            assert len(q.vertices) == n * n, f"p={p} d={d}"
-            assert AQ.template_match(q, n, n) is not None, f"p={p} d={d}"
-    ok(7, "stable degree-sp block = Z[A_{2s+1}]/tau^{2s+1} with (2s+1)^2 "
-          "vertices, for s = 1..4 at p=3 and s = 1..3 at p=5")
+    for p, d in BLOCK_DEGREES:
+        blocks = non_semisimple_blocks(p, d)
+        assert blocks, f"p={p} d={d}"
+        for q in blocks:
+            n = template_size(q, p)
+            assert len(q.vertices) == n * n + n - 2, f"p={p} d={d}"
+            stable = q.stable_part()
+            assert len(stable.vertices) == n * n, f"p={p} d={d}"
+            assert AQ.template_match(stable, n, n) is not None, f"p={p} d={d}"
+    ok(7, "every non-semisimple block has n^2 + n - 2 vertices and stable "
+          "part Z[A_n]/tau^n, for d in 3..12 at p=3, 5..15 at p=5 and "
+          "{7, 14, 21} at p=7")
 
 
 def test_criterion_08_morita_and_block_count():
     rep = AQ.morita_shift_compare(P, 3, 1)
     assert rep["isomorphic"] and rep["dims_preserved"]
-    for p, d in [(P, d) for d in range(3, 9)] + [(5, d) for d in range(5, 13)]:
-        blocks = [q for q in AQ.schur_blocks(p, d) if len(q.vertices) > 1]
+    for p, d in ([(P, d) for d in range(3, 9)] + [(5, d) for d in range(5, 13)]
+                 + [(7, d) for d in (7, 14, 21)]):
+        blocks = non_semisimple_blocks(p, d)
         if p == P:
             assert len(blocks) == 1, f"degree {d}"
         assert len(blocks) == non_semisimple_count(p, d), f"p={p} d={d}"
         for q in blocks:
-            e = max(v.label.d for v in q.vertices.values()
-                    if v.label.family in ("V", "Vo", "L"))
-            n = 2 * (e // p) + 1
+            n = template_size(q, p)
             assert len(q.vertices) == n * n + n - 2, f"p={p} d={d}"
     ok(8, "(1,1)-shift induces a block-quiver isomorphism; exactly one "
           "non-semisimple block per degree for d in 3..8 at p=3; the "
           "linkage oracle's count of them and n^2 + n - 2 vertices each "
-          "for d in 5..12 at p=5")
+          "for d in 5..12 at p=5 and d in {7, 14, 21} at p=7")
 
 
 def test_criterion_09_wings_and_orbit_scan():

@@ -26,6 +26,19 @@ class TestIdentify:
         assert got is not None
         assert str(got) == text or AQ.identify(got.build(P)) is not None
 
+    def test_build_errors_propagate(self, monkeypatch):
+        # every label identify forms builds, so an error raised by a build
+        # is a broken invariant and reaches the caller
+        real = C.FamilyLabel.build
+
+        def build(lab, p):
+            if lab.family == "W":
+                raise RuntimeError("planted invariant violation")
+            return real(lab, p)
+        monkeypatch.setattr(C.FamilyLabel, "build", build)
+        with pytest.raises(RuntimeError, match="planted"):
+            AQ.identify(shift(C.w_hat(P, 6), (2, 1)))
+
     def test_identify_certifies_by_iso(self):
         m = shift(C.w_hat(P, 6), (2, 1))
         lab = AQ.identify(m)

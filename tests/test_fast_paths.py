@@ -29,6 +29,7 @@ from grquiver import polynomial
 from grquiver.gf import PrimeField
 from grquiver.grmod import (decompose, direct_sum, hom_space, is_isomorphic,
                             quotient, radical, socle, top)
+from linkage_oracle import polynomial_simples
 from test_pinned_bytes import outer_tensors
 
 
@@ -194,8 +195,7 @@ def clear_caches():
 
 
 def clear_torsion_caches():
-    """Empty the t and u caches, so the next t or u computes."""
-    polynomial._t_poly.cache_clear()
+    """Empty the u cache, so the next u computes; t is not cached."""
     polynomial._u_poly.cache_clear()
 
 
@@ -562,6 +562,134 @@ def test_almost_split_cache_hands_out_copies():
                 *first.left.action.values(), *first.middle.action.values()]:
         mat += 1
     assert sequence_bytes(H.almost_split_sequence(m)) == before
+
+
+TIER1_BLOCKS = {3: range(3, 13), 5: range(5, 16), 7: (7, 14, 21)}
+EXT_KEYS = SLICES + [("blocks", p) for p in TIER1_BLOCKS] + ["borel"]
+
+
+def ext_key_id(key):
+    if key == "borel":
+        return key
+    return f"blocks-p{key[1]}" if key[0] == "blocks" else f"p{key[0]}-d{key[1]}"
+
+
+def ext_reference_inputs(key):
+    """For a slice, every enumerated candidate with its dual and its (1, 1)
+    shift; for ("blocks", p), every vertex of the blocks that acceptance
+    criterion 7 checks at p; over the borel algebra, Omega^j k and
+    Omega^-j k for j = 1..3 over (p, r) in {3, 5} x {1, 2}, and the outer
+    tensors of acceptance criterion 11 at p = 3 and 5."""
+    if key == "borel":
+        for p, r in itertools.product((3, 5), (1, 2)):
+            k = G.character_module(C.borel_algebra(p, r), (0, 0))
+            for j in (1, 2, 3):
+                yield from (H.omega_pow(k, j), H.omega_pow(k, -j))
+        for p in (3, 5):
+            yield from outer_tensors(p)
+    elif key[0] == "blocks":
+        p = key[1]
+        for d in TIER1_BLOCKS[p]:
+            for q in AQ.schur_blocks(p, d):
+                yield from (v.module for v in q.vertices.values())
+    else:
+        for _, m in degree_candidates(*key):
+            yield from (m, G.dual(m), G.shift(m, (1, 1)))
+
+
+@pytest.mark.parametrize("key", EXT_KEYS, ids=ext_key_id)
+def test_ext_routes_against_projective_lift(key):
+    # the almost split class found from rad End(tau v) in the coordinates
+    # of the Hom basis is the class found by lifting rad End(v) through
+    # End(P) and testing against the dense annihilator, byte for byte; ext1
+    # picks from [B | I] the representatives it picked from [B | homs]
+    ends = [m for m in ext_reference_inputs(key) if not H.is_projective(m)]
+    assert len(ends) > 20
+    for v in ends:
+        assert sequence_bytes(H.almost_split_sequence(v)) == sequence_bytes(
+            RH._almost_split_uncached(v))
+        for w in (v, H.tau(v)):
+            dim, reps = H.ext1(v, w)
+            dim_ref, reps_ref = RH.ext1(v, w)
+            assert dim == dim_ref
+            assert_same_basis([c.rep.matrix for c in reps],
+                              [c.rep.matrix for c in reps_ref])
+
+
+def candidates_of(p, d):
+    return [m for _, m in degree_candidates(p, d)]
+
+
+def test_cold_almost_split_lifts_nothing_to_the_cover(monkeypatch):
+    # a cold almost split sequence never asks for Hom(P, P), P the cover of
+    # its end term; the reference route, which lifts through End(P), does
+    ends = [m for m in candidates_of(3, 4) + list(borel_graded_modules(2))
+            if not H.is_projective(m)]
+    asked = []
+    real = H.hom_space
+
+    def record(m, n):
+        asked.append((module_bytes(m), module_bytes(n)))
+        return real(m, n)
+    monkeypatch.setattr(H, "hom_space", record)
+    monkeypatch.setattr(RH, "hom_space", record)
+    lifts = []
+    for route in (H._almost_split_uncached, RH._almost_split_uncached):
+        count = 0
+        for v in ends:
+            clear_caches()
+            asked.clear()
+            route(v)
+            P = module_bytes(H.omega_with_maps(v)[2])
+            count += asked.count((P, P))
+        lifts.append(count)
+    assert lifts[0] == 0 < lifts[1]
+
+
+@pytest.mark.parametrize("key", [(3, 4), (3, 6), (5, 6)],
+                         ids=lambda k: f"p{k[0]}-d{k[1]}")
+def test_hom_coordinates_read_the_identity(key):
+    # on every Hom basis between candidates and their covers, the entries
+    # at `hom_coordinates` form the identity, so they are the coordinates
+    # of any map of the span
+    mods = candidates_of(*key)
+    mods += [H.projective_cover(m)[0] for m in mods]
+    rng = np.random.default_rng(0)
+    seen = 0
+    for m, n in itertools.product(mods, mods):
+        basis = hom_space(m, n)
+        if not basis:
+            continue
+        at = G.hom_coordinates(basis)
+        flat = np.stack(basis).reshape(len(basis), -1)
+        assert np.array_equal(flat[:, at], np.eye(len(basis), dtype=np.int64))
+        x = rng.integers(0, m.algebra.p, len(basis))
+        assert np.array_equal(m.field.combine(x, basis).reshape(-1)[at], x)
+        seen += len(basis) > 1
+    assert seen > 20
+
+
+def poly_cover_inputs(candidates):
+    """The candidates of SLICES and the polynomial simples of degree 3p at
+    p = 3, 5 and 7."""
+    for mods in candidates.values():
+        yield from mods
+    for p in (3, 5, 7):
+        for w in polynomial_simples(p, 3 * p):
+            yield AQ._simple_label(p, w).build(p)
+
+
+def test_poly_cover_against_solve_route(candidates):
+    # the section of u(P)'s projection that the linear solve found is the
+    # unit vectors at the representatives of u(P)'s basis
+    covers = proper = 0
+    for v in poly_cover_inputs(candidates):
+        fast = polynomial.poly_projective_cover(v)
+        assert torsion_bytes(fast) == torsion_bytes(
+            RPY.poly_projective_cover(v))
+        covers += 1
+        proper += fast[0].dim < H.omega_with_maps(v)[2].dim
+    assert covers == 208 and proper > 50
 
 
 def basis_bytes(basis):
@@ -981,22 +1109,24 @@ def torsion_cache_inputs(candidates, key):
 @pytest.mark.parametrize("key", SLICES + ["borel"], ids=lambda k: (
     k if k == "borel" else f"p{k[0]}-d{k[1]}"))
 def test_torsion_caches_against_uncached_bodies(candidates, key):
-    # t and u served from a cache warmed by other shifts of the module, a
-    # cold miss and the uncached bodies run on the module agree byte for
-    # byte; each cache misses once per shift class and mask
+    # t, which is not cached, agrees byte for byte with its uncached body;
+    # u served from a cache warmed by other shifts of the module, a cold
+    # miss and the uncached body run on the module agree byte for byte,
+    # and the u cache misses once per shift class and mask
     mods = torsion_cache_inputs(candidates, key)
-    for fast, slow, cache in (
-            (polynomial.t_poly, RPY.t_poly_uncached, polynomial._t_poly),
-            (polynomial.u_poly, RPY.u_poly_uncached, polynomial._u_poly)):
+    for m in mods:
+        assert torsion_bytes(polynomial.t_poly(m)) == torsion_bytes(
+            RPY.t_poly_uncached(m))
+    cache = polynomial._u_poly
+    cache.cache_clear()
+    warm = [torsion_bytes(polynomial.u_poly(m)) for m in mods]
+    keys = {(class_origin(m).to_json(), outside_quadrant(m)) for m in mods}
+    assert cache.cache_info().misses == len(keys) < len(mods)
+    for m, got in zip(mods, warm):
         cache.cache_clear()
-        warm = [torsion_bytes(fast(m)) for m in mods]
-        keys = {(class_origin(m).to_json(), outside_quadrant(m))
-                for m in mods}
-        assert cache.cache_info().misses == len(keys) < len(mods)
-        for m, got in zip(mods, warm):
-            cache.cache_clear()
-            assert got == torsion_bytes(fast(m)) == torsion_bytes(fast(m))
-            assert got == torsion_bytes(slow(m))
+        assert got == torsion_bytes(polynomial.u_poly(m)) == torsion_bytes(
+            polynomial.u_poly(m))
+        assert got == torsion_bytes(RPY.u_poly_uncached(m))
 
 
 def test_standard_modules_against_uncached_construction():
@@ -1338,8 +1468,8 @@ def test_fitting_split_against_two_subspaces(candidates, key, monkeypatch):
         assert (split is None) == (kernel.shape[1] in (0, m.dim))
         if split is not None:
             splits += 1
-            for fast, basis in zip(split, (kernel,
-                                           ff.column_space_basis(power))):
+            image = power[:, ff.rref(power)[1]]
+            for fast, basis in zip(split, (kernel, image)):
                 assert_same_pair(fast, G.submodule_from_subspace(m, basis))
     assert 0 < splits < len(calls)
 

@@ -49,6 +49,63 @@ class TestValidate:
         assert validate(bad) != []
 
 
+def grading_findings_loop(m):
+    """The grading and H findings of `validate`, by the double loops over
+    every entry that its masks replaced."""
+    report = []
+    for g in m.algebra.generators():
+        d = m.algebra.action_shift(g)
+        mat = m.action[g]
+        for j in range(m.dim):
+            tgt = (m.weights[j][0] + d[0], m.weights[j][1] + d[1])
+            for i in range(m.dim):
+                if mat[i, j] and m.weights[i] != tgt:
+                    report.append(
+                        f"grading: {g}*e_{j} hits weight {m.weights[i]}, "
+                        f"expected {tgt}")
+    if m.algebra.kind == "sl2r1":
+        H = m.action["H"]
+        for j in range(m.dim):
+            a, b = m.weights[j]
+            want = np.zeros(m.dim, dtype=np.int64)
+            want[j] = (a - b) % m.algebra.p
+            if not np.array_equal(H[:, j], want):
+                report.append(f"H does not act as (a-b) mod p on basis "
+                              f"vector {j} of weight {(a, b)}")
+    return report
+
+
+def planted_violations():
+    """Modules with wrong weights, stray generator entries and wrong H
+    entries planted, and two valid ones."""
+    v = C.weyl_hat(5, 7)
+    weights = list(v.weights)
+    weights[1] = (weights[1][0] + 1, weights[1][1])
+    weights[4] = (weights[4][0], weights[4][1] - 2)
+    yield GradedModule(v.algebra, tuple(weights), v.action)
+    action = {g: a.copy() for g, a in v.action.items()}
+    action["E"][0, 0] = action["F"][5, 2] = 1
+    action["H"][2, 6] = 3
+    action["H"][3, 3] = (action["H"][3, 3] + 1) % 5
+    yield GradedModule(v.algebra, v.weights, action)
+    w = C.w_hat(3, 7)
+    yield GradedModule(w.algebra, w.weights[::-1], w.action)
+    z = C.borel_projective((1, 1), C.borel_algebra(3, 2))
+    yield GradedModule(z.algebra, z.weights[1:] + z.weights[:1], z.action)
+    yield v
+    yield z
+
+
+class TestValidateMasks:
+    def test_findings_against_loops(self):
+        planted = 0
+        for m in planted_violations():
+            found = [e for e in validate(m) if not e.startswith("relation")]
+            assert found == grading_findings_loop(m)
+            planted += len(found) > 1
+        assert planted == 4
+
+
 class TestShiftAndDuality:
     def test_shift_translates_support(self, v6):
         s = shift(v6, (2, -1))
