@@ -12,7 +12,8 @@ from types import MappingProxyType
 from . import constructions, homological, polynomial
 from .constructions import FamilyLabel
 from .grmod import (AlgebraKind, GradedModule, Weight, decompose, dual,
-                    is_isomorphic, radical, shift, validate, zero_module)
+                    is_isomorphic, kernel_profile, radical, shift, validate,
+                    zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -24,11 +25,20 @@ def _weight_key(m: GradedModule) -> tuple[Weight, ...]:
     return tuple(sorted(m.weights))
 
 
+def _iso_key(m: GradedModule) -> tuple:
+    """The sorted weights and the `kernel_profile`: isomorphic modules
+    share them."""
+    return _weight_key(m), kernel_profile(m)
+
+
 def identify(m: GradedModule) -> FamilyLabel | None:
     """Canonical family label of an indecomposable, or None.
 
-    Matches by dimension and support against shifted family candidates, then
-    certifies with an isomorphism search.
+    Forms the shifted family candidates of m's dimension and support, and
+    returns the first one isomorphic to m: `is_isomorphic` certifies it
+    with an invertible intertwiner.  Only the candidates with m's
+    `_iso_key` are tested, so a candidate dropped before the test is not
+    isomorphic to m.
     """
     if m.dim == 0:
         return None
@@ -67,8 +77,11 @@ def identify(m: GradedModule) -> FamilyLabel | None:
             qmn = q.support_min()
             candidates.append(FamilyLabel(
                 "Q", d=a, shift=(mn[0] - qmn[0], mn[1] - qmn[1])))
+    weights, profile = _iso_key(m)
     for lab in candidates:
-        if is_isomorphic(m, lab.build(p)) is not None:
+        cand = lab.build(p)
+        if (_weight_key(cand) == weights and kernel_profile(cand) == profile
+                and is_isomorphic(m, cand) is not None):
             return lab
     return None
 
@@ -96,8 +109,9 @@ class ARQuiver:
         default_factory=list)
     _opaque_count: int = 0
     _vertices: dict[str, VertexLabel] = field(default_factory=dict)
-    # vertex names by the `_weight_key` of their module, in insertion order
-    _by_weights: dict[tuple[Weight, ...], list[str]] = field(
+    # vertex names by the `_weight_key`, then the `kernel_profile` of their
+    # module, in insertion order
+    _by_key: dict[tuple, dict[tuple, list[str]]] = field(
         default_factory=dict, repr=False)
 
     @property
@@ -106,14 +120,20 @@ class ARQuiver:
         return MappingProxyType(self._vertices)
 
     def add_vertex(self, v: VertexLabel) -> None:
-        """Insert v into the vertices and the weight index."""
+        """Insert v into the vertices and the `_iso_key` index."""
         self._vertices[v.name] = v
-        self._by_weights.setdefault(_weight_key(v.module), []).append(v.name)
+        weights, profile = _iso_key(v.module)
+        self._by_key.setdefault(weights, {}).setdefault(profile, []).append(
+            v.name)
 
     def find_vertex(self, m: GradedModule) -> str | None:
-        """The first vertex isomorphic to m; only vertices with m's weights
-        are tested."""
-        for name in self._by_weights.get(_weight_key(m), ()):
+        """The first vertex isomorphic to m; only vertices with m's
+        `_iso_key` are tested, and m's profile is taken only when some
+        vertex has m's weights."""
+        same_weights = self._by_key.get(_weight_key(m))
+        if not same_weights:
+            return None
+        for name in same_weights.get(kernel_profile(m), ()):
             if is_isomorphic(self._vertices[name].module, m) is not None:
                 return name
         return None
@@ -158,18 +178,6 @@ class ARQuiver:
             mids.extend([mn] * mult)
         self.sequences.append((left, tuple(sorted(mids)), name))
         return left, mids
-
-    def mesh_violations(self) -> list[str]:
-        errs = []
-        for v, tv in self.tau.items():
-            into_v = sorted(s for (s, t), mult in self.arrows.items()
-                            if t == v for _ in range(mult))
-            out_tv = sorted(t for (s, t), mult in self.arrows.items()
-                            if s == tv for _ in range(mult))
-            if into_v != out_tv:
-                errs.append(f"mesh fails at {v}: in {into_v} vs out of "
-                            f"tau={tv} {out_tv}")
-        return errs
 
     def induced(self, names: set[str]) -> "ARQuiver":
         q = ARQuiver()

@@ -212,6 +212,25 @@ class ModuleMap:
         return self.source.field.rank(self.matrix) == self.target.dim
 
 
+def _trusted_module(algebra: AlgebraKind, weights: tuple[Weight, ...],
+                    action: dict[str, np.ndarray]) -> GradedModule:
+    """The module on fields that already hold its invariants, set as they
+    are: int weights and reduced int64 (dim x dim) matrices that no other
+    object owns.  `GradedModule(...)` converts and reduces them again."""
+    m = object.__new__(GradedModule)
+    m.algebra, m.weights, m.action = algebra, weights, action
+    return m
+
+
+def _trusted_map(source: GradedModule, target: GradedModule,
+                 matrix: np.ndarray) -> ModuleMap:
+    """The map on a reduced int64 (target.dim x source.dim) matrix that no
+    other object owns, set as it is; `ModuleMap(...)` reduces it again."""
+    f = object.__new__(ModuleMap)
+    f.source, f.target, f.matrix = source, target, matrix
+    return f
+
+
 # ---------------------------------------------------------------------------
 # basic constructors
 
@@ -331,9 +350,11 @@ def validate(m: GradedModule) -> list[str]:
 
 
 def shift(m: GradedModule, lam: Weight) -> GradedModule:
-    return GradedModule(m.algebra,
-                        tuple(add_weight(w, lam) for w in m.weights),
-                        dict(m.action))
+    """m with every weight moved by lam, on copies of m's matrices."""
+    a, b = int(lam[0]), int(lam[1])
+    return _trusted_module(m.algebra,
+                           tuple((x + a, y + b) for x, y in m.weights),
+                           {g: mat.copy() for g, mat in m.action.items()})
 
 
 def _packed(algebra: AlgebraKind, mats) -> np.ndarray:
@@ -358,16 +379,17 @@ class _Packed(tuple):
 def _unpacked(algebra: AlgebraKind, mu: Weight,
               packed: _Packed) -> GradedModule:
     """The packed module shifted by mu, its generator matrices copied into
-    fresh int64 arrays."""
+    one fresh int64 array."""
     weights, action = packed
     gens = algebra.generators()
+    n = len(weights)
     if isinstance(action, bytes):
-        n = len(weights)
         action = np.frombuffer(action, dtype=np.min_scalar_type(
-            algebra.p - 1)).reshape(len(gens), n, n)
-    return GradedModule(algebra,
-                        tuple((a + mu[0], b + mu[1]) for a, b in weights),
-                        dict(zip(gens, action)))
+            algebra.p - 1))
+    action = action.astype(np.int64).reshape(len(gens), n, n)
+    return _trusted_module(algebra,
+                           tuple((a + mu[0], b + mu[1]) for a, b in weights),
+                           dict(zip(gens, action)))
 
 
 def _shift_class(m: GradedModule, mu: Weight | None = None
@@ -423,6 +445,11 @@ class _ThawedTuple:
     def __iter__(self):
         return map(self.__getitem__, range(len(self.items)))
 
+    def as_map(self, i: int, source: GradedModule,
+               target: GradedModule) -> ModuleMap:
+        """Item i, a matrix, as the map source -> target, in one copy."""
+        return _trusted_map(source, target, self[i])
+
 
 def _shift_cached(maxsize: int):
     """Memoize f(m, *rest) by m's shift class, in a bounded LRU cache.
@@ -469,7 +496,7 @@ def dual(m: GradedModule) -> GradedModule:
         alg = replace(alg, raising=not alg.raising)
     action = {g: m.action[swap.get(g, g)].T.copy()
               for g in m.algebra.generators()}
-    return GradedModule(alg, m.weights, action)
+    return _trusted_module(alg, m.weights, action)
 
 
 def weyl_twist(m: GradedModule) -> GradedModule:
@@ -871,6 +898,24 @@ def _is_local(m: GradedModule, basis: list[np.ndarray]) -> bool:
             return False
         power = nxt
     return True
+
+
+def kernel_profile(m: GradedModule) -> tuple[tuple[Weight, ...], ...]:
+    """For each generator but H, in order, the sorted weights of the free
+    columns of its RREF: weight w appears dim ker(g on m_w) times.  An
+    isomorphism invariant.
+
+    Column j of g lies in the weight space of weights[j] + shift(g), so up
+    to a permutation g is block diagonal by weight, and its pivots are
+    those of the blocks: one elimination per generator.
+    """
+    out = []
+    for g in m.algebra.generators():
+        if g != "H":
+            pivots = set(m.field.rref(m.action[g])[1])
+            out.append(tuple(sorted(w for j, w in enumerate(m.weights)
+                                    if j not in pivots)))
+    return tuple(out)
 
 
 def is_isomorphic(m: GradedModule, n: GradedModule) -> np.ndarray | None:

@@ -161,8 +161,9 @@ def omega_with_maps(m: GradedModule
     class (`_presentation`, memoized by `grmod._shift_cached`). A caller
     that needs K alone calls `omega`, which unpacks nothing else.
     """
-    K, incl, P, epi = _presentation(m)
-    return K, ModuleMap(K, P, incl), P, ModuleMap(P, m, epi)
+    out = _presentation(m)
+    K, P = out[0], out[2]
+    return K, out.as_map(1, K, P), P, out.as_map(3, P, m)
 
 
 def omega(m: GradedModule) -> GradedModule:
@@ -278,9 +279,10 @@ def almost_split_sequence(v: GradedModule) -> ShortExact:
     and non-split, once per shift class, as the presentation is
     (`_almost_split`); the right term is v itself.
     """
-    left, middle, inj, surj = _almost_split(v)
-    return ShortExact(left, middle, v, ModuleMap(left, middle, inj),
-                      ModuleMap(middle, v, surj))
+    out = _almost_split(v)
+    left, middle = out[0], out[1]
+    return ShortExact(left, middle, v, out.as_map(2, left, middle),
+                      out.as_map(3, middle, v))
 
 
 @_shift_cached(256)

@@ -58,8 +58,9 @@ def u_poly(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     computed once per shift class and mask (`_u_poly`, memoized by
     `grmod._shift_cached`).
     """
-    q, proj = _u_poly(m, _outside(m))
-    return q, ModuleMap(m, q, proj)
+    out = _u_poly(m, _outside(m))
+    q = out[0]
+    return q, out.as_map(1, m, q)
 
 
 @_shift_cached(256)
@@ -144,12 +145,6 @@ def poly_projective_resolution(v: GradedModule, n: int) -> list[GradedModule]:
         terms.append(P)
         cur, _ = kernel_submodule(P, cover.matrix)
     return terms
-
-
-def poly_injective_resolution(v: GradedModule, n: int) -> list[GradedModule]:
-    """First n terms of a minimal injective resolution inside the
-    polynomial category: the duals of the projective resolution of v^o."""
-    return [dual(t) for t in poly_projective_resolution(dual(v), n)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ endomorphisms are the scalars and which has no self-extension.
 `hom_linkage_blocks` is the Hom-only linkage that followed them.  All
 three group the candidates with `_UnionFind`.
 
+`identify` names a module by testing isomorphism against every family
+candidate that shares its weights, where `arquiver.identify` first drops
+the candidates whose `kernel_profile` differs.  `mesh_violations` lists
+the failed mesh relations of a quiver; only tests check them.
+
 `partition_blocks` is the composition-factor partition that replaced the
 Hom linkage, over the candidates of `enumerate_degree_candidates`: every
 indecomposable polynomial module of the degree, built from the
@@ -91,6 +96,68 @@ def hom_linkage_blocks(cands) -> list[list[int]]:
             if hom_space(mi, mj) or hom_space(mj, mi):
                 uf.union(i, j)
     return sorted(uf.groups(), key=lambda g: str(cands[min(g)][0]))
+
+
+def identify(m: GradedModule) -> FamilyLabel | None:
+    """The family label of an indecomposable, or None: the first shifted
+    family candidate of m's dimension and support that is isomorphic to
+    m."""
+    if m.dim == 0:
+        return None
+    p = m.algebra.p
+    if m.algebra.kind == "borel":
+        alg = m.algebra
+        over = {"r": alg.r, "offset": alg.offset, "raising": alg.raising}
+        if m.dim == 1:
+            return FamilyLabel("Char", weight=m.weights[0], **over)
+        if m.dim == p ** alg.r:
+            lam = min(m.weights) if alg.raising else max(m.weights)
+            cand = constructions.borel_projective(lam, alg)
+            if is_isomorphic(m, cand) is not None:
+                return FamilyLabel("Z", weight=lam, **over)
+        return None
+    mn = m.support_min()
+    candidates: list[FamilyLabel] = []
+    e = m.dim - 1
+    if e <= p - 1:
+        candidates.append(FamilyLabel("L", d=e, shift=mn))
+    else:
+        candidates.append(FamilyLabel("V", d=e, shift=mn))
+        candidates.append(FamilyLabel("Vo", d=e, shift=mn))
+    if m.dim % p == 0:
+        s = m.dim // p
+        for a in range(p - 1):
+            d = s * p + a
+            candidates.append(FamilyLabel(
+                "W", d=d, shift=(mn[0] - (a + 1), mn[1])))
+            candidates.append(FamilyLabel(
+                "Wwo", d=d, shift=(mn[0], mn[1] - (a + 1))))
+    if m.dim == 2 * p:
+        for a in range(p - 1):
+            q = constructions.projective_indec(p, a)
+            qmn = q.support_min()
+            candidates.append(FamilyLabel(
+                "Q", d=a, shift=(mn[0] - qmn[0], mn[1] - qmn[1])))
+    for lab in candidates:
+        if is_isomorphic(m, lab.build(p)) is not None:
+            return lab
+    return None
+
+
+def mesh_violations(q: ARQuiver) -> list[str]:
+    """The mesh relations of q that fail: for each tau entry v -> tau v,
+    the arrows into v, with multiplicity, must start where the arrows out
+    of tau v end."""
+    errs = []
+    for v, tv in q.tau.items():
+        into_v = sorted(s for (s, t), mult in q.arrows.items()
+                        if t == v for _ in range(mult))
+        out_tv = sorted(t for (s, t), mult in q.arrows.items()
+                        if s == tv for _ in range(mult))
+        if into_v != out_tv:
+            errs.append(f"mesh fails at {v}: in {into_v} vs out of "
+                        f"tau={tv} {out_tv}")
+    return errs
 
 
 def _legal_shifts(mn: tuple[int, int], base_degree: int, d: int,

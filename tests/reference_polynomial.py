@@ -5,7 +5,9 @@ module Z_r(lambda) built at lambda, the injective hull in the polynomial
 category as t of the ambient hull, the borel projective cover as a walk
 over the free module's action, and Ext-projectivity in the polynomial
 category by the tau test, and the polynomial projective cover with the
-section of u(P)'s projection found by a linear solve."""
+section of u(P)'s projection found by a linear solve.  The injective
+resolution as the duals of the projective resolution of the dual, which
+only tests use, is kept here too."""
 
 from __future__ import annotations
 
@@ -136,6 +138,13 @@ def poly_injective_hull(v: GradedModule) -> tuple[GradedModule, ModuleMap]:
     if coords is None:
         raise RuntimeError("image of v does not land in t of the hull")
     return tI, ModuleMap(v, tI, coords)
+
+
+def poly_injective_resolution_by_duals(v: GradedModule,
+                                      n: int) -> list[GradedModule]:
+    """First n terms of a minimal injective resolution inside the
+    polynomial category: the duals of the projective resolution of v^o."""
+    return [dual(t) for t in polynomial.poly_projective_resolution(dual(v), n)]
 
 
 def poly_injective_resolution(v: GradedModule, n: int) -> list[GradedModule]:

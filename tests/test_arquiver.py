@@ -134,7 +134,7 @@ class TestExploreComponent:
         assert w_patch.find_vertex(C.w_hat(P, 6)) is not None
 
     def test_mesh_relations_hold(self, w_patch):
-        assert w_patch.mesh_violations() == []
+        assert RB.mesh_violations(w_patch) == []
 
     def test_polynomial_part_is_wing(self, w_patch):
         poly = {n for n, v in w_patch.vertices.items()

@@ -1,8 +1,9 @@
 """Import lint: every name that a module of src/grquiver, tests/ or demos/
 imports is referenced in that module (a name listed in `__all__` counts).
 Packing lint: no module of src/grquiver or demos/ but grmod names the
-packed cache storage or the shift-class key, so their format stays behind
-`grmod._shift_cached`.
+packed cache storage, the shift-class key or the trusted constructors, so
+their format stays behind `grmod._shift_cached` and only grmod builds a
+module or map that skips the checks of `GradedModule` and `ModuleMap`.
 Kernel lint: no module of src/grquiver builds a submodule as
 `submodule_from_subspace(m, ....kernel_basis(mat))`, two eliminations where
 `grmod.kernel_submodule(m, mat)` takes one."""
@@ -17,7 +18,8 @@ SRC = sorted((ROOT / "src" / "grquiver").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 FILES = SRC + sorted((ROOT / "tests").glob("*.py")) + DEMOS
 PACKING = {"_Packed", "_packed", "_packed_action", "_unpacked",
-           "_shift_class", "_frozen", "_thawed"}
+           "_shift_class", "_frozen", "_thawed", "_trusted_module",
+           "_trusted_map"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,9 +82,11 @@ def test_lint_catches_packing_reference():
     source = ("from .grmod import _packed, _shift_cached, shift\n"
               "from . import grmod\n"
               "key = grmod._shift_class(m)\n"
-              "build = _unpacked\n")
+              "build = _unpacked\n"
+              "f = grmod._trusted_map(m, n, x)\n")
     assert packing_references(source) == [
-        "line 1: _packed", "line 3: _shift_class", "line 4: _unpacked"]
+        "line 1: _packed", "line 3: _shift_class", "line 4: _unpacked",
+        "line 5: _trusted_map"]
 
 
 def _called_name(node) -> str | None:

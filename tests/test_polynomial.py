@@ -127,7 +127,7 @@ class TestResolutions:
         assert all(validate(t) == [] for t in terms)
 
     def test_injective_resolution_runs(self):
-        terms = PY.poly_injective_resolution(C.w_hat(P, 3), 2)
+        terms = RPY.poly_injective_resolution_by_duals(C.w_hat(P, 3), 2)
         assert len(terms) == 2
         assert all(PY.is_polynomial(t).is_polynomial for t in terms)
 
